@@ -200,16 +200,32 @@ void BM_SimSendRecv(benchmark::State& state) {
 BENCHMARK(BM_SimSendRecv)->Arg(2000);
 
 void BM_ProcessContextSwitch(benchmark::State& state) {
+  // Two processes hand control back and forth: each wakes its partner and
+  // suspends, so every resume event is a real switch into a process body
+  // and back (advance() alone would take the try_fast_forward shortcut and
+  // never switch).  Items are resume events executed.
+  constexpr int kRounds = 1000;
+  std::int64_t resumes = 0;
   for (auto _ : state) {
     des::Kernel kernel;
-    kernel.spawn("hopper", [](des::Process& proc) {
-      for (int i = 0; i < 1000; ++i) proc.advance(des::SimTime::micros(1));
-    });
-    kernel.run();
+    des::Process* procs[2] = {nullptr, nullptr};
+    const auto body = [&procs](int self, des::Process& proc) {
+      des::Process* other = procs[1 - self];
+      for (int i = 0; i < kRounds; ++i) {
+        other->wake();
+        proc.suspend();
+      }
+      other->wake();  // release the partner's last suspend
+    };
+    procs[0] = kernel.spawn("ping", [&body](des::Process& p) { body(0, p); });
+    procs[1] = kernel.spawn("pong", [&body](des::Process& p) { body(1, p); });
+    resumes += static_cast<std::int64_t>(kernel.run().events_executed);
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 1000);
+  state.SetItemsProcessed(resumes);
 }
-BENCHMARK(BM_ProcessContextSwitch);
+// Real time: a switch's cost counts wherever it is spent, not only on the
+// benchmark thread's CPU clock.
+BENCHMARK(BM_ProcessContextSwitch)->UseRealTime();
 
 void BM_SharedMediumPost(benchmark::State& state) {
   net::ChannelConfig config;

@@ -5,10 +5,11 @@
 // not depend on scheduling), and writes wall-clock + events/sec numbers to
 // a JSON report (default BENCH_sweep.json).
 //
-// The committed BENCH_sweep.json also carries the pre-optimisation baseline
-// numbers, measured from the commit immediately before this PR with the
-// same grid on the same machine; they are embedded below as constants so
-// the before/after comparison survives in one self-describing artifact.
+// The report also carries the sweep runner's pre-optimisation baseline
+// numbers, measured from the commit before it with the same grid; they are
+// embedded below as constants so that comparison survives in one
+// self-describing artifact.  They were measured on a 1-CPU host, so
+// single_thread_speedup_vs_baseline compares hosts as well as code.
 //
 // Flags:
 //   --jobs=N             parallel lane count for the parallel pass (default 8)
@@ -194,7 +195,9 @@ int main(int argc, char** argv) {
              "--jobs value; --jobs only changes wall-clock. On a single-CPU "
              "host parallel lanes cannot beat jobs=1 for this CPU-bound "
              "sweep — the parallel_speedup field reflects the machine the "
-             "report was generated on (see machine.hardware_concurrency).");
+             "report was generated on (see machine.hardware_concurrency). "
+             "The baseline constants were measured on a different, 1-CPU "
+             "host.");
 
   std::ofstream stream(out);
   stream << report.dump(2) << '\n';

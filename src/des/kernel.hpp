@@ -1,11 +1,16 @@
 // Deterministic discrete-event simulation kernel.
 //
 // The kernel owns a priority queue of timestamped events and a set of
-// cooperative processes (see process.hpp).  Exactly one thread of control is
-// active at any instant — either the kernel's event loop or a single process
-// body — so a simulation run is a pure function of its inputs: identical
-// configuration and seeds replay to identical traces.  Ties in event time are
-// broken by insertion sequence, giving a total order.
+// cooperative processes (see process.hpp).  Process bodies are fibers on the
+// thread that calls run(), so exactly one thread of control is active at any
+// instant — either the kernel's event loop or a single process body — and a
+// simulation run is a pure function of its inputs: identical configuration
+// and seeds replay to identical traces.  Ties in event time are broken by
+// insertion sequence, giving a total order.
+//
+// A Kernel must be run and destroyed on one OS thread: its bodies' stacks
+// are resumed by plain context switches, and they share that thread's
+// thread_local state.  Separate Kernels may run on separate threads at once.
 //
 // Storage layout (hot path).  Callables live in a recycled arena of EventFn
 // slots (48-byte small-buffer storage, see event.hpp); the priority queue is

@@ -1,10 +1,18 @@
 // Cooperative simulated process.
 //
-// Each process hosts its body on a dedicated OS thread, but the kernel
-// enforces strict alternation: the kernel thread and process threads exchange
-// a single logical token, so only one of them ever runs.  This gives
-// application code a natural blocking style (plain function calls, loops,
-// blocking receives) while keeping the simulation fully deterministic.
+// Each process runs its body as a stackful fiber (a ucontext with its own
+// mmap'd stack) on the thread that calls Kernel::run().  Control passes
+// between the kernel's event loop and one body at a time by a plain context
+// switch, so only one of them ever runs.  This gives application code a
+// natural blocking style (plain function calls, loops, blocking receives)
+// while keeping the simulation fully deterministic.
+//
+// Because every body of a simulation shares the kernel's OS thread, a
+// thread_local buffer is shared by all of its ranks.  Such scratch is safe
+// only while no call yields (advance/suspend/yield_now, or a blocking
+// receive built on them) between acquiring and releasing it.  A body must
+// also not yield from inside a catch handler: the C++ runtime keeps the
+// handled-exception stack per OS thread, not per fiber.
 //
 // A process interacts with simulated time through three primitives:
 //   - advance(dt): consume `dt` of local compute time,
@@ -12,12 +20,10 @@
 //   - yield_now(): reschedule at the same time (after already-queued events).
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <mutex>
+#include <memory>
 #include <string>
-#include <thread>
 
 #include "des/kernel.hpp"
 #include "des/time.hpp"
@@ -30,7 +36,7 @@ class Process {
     NotStarted,   // spawn event not yet executed
     Waiting,      // waiting for a scheduled resume event
     Suspended,    // waiting for an external wake()
-    Running,      // body currently holds the token
+    Running,      // body currently has control
     Finished,     // body returned
   };
 
@@ -47,7 +53,7 @@ class Process {
   Kernel& kernel() noexcept { return kernel_; }
   SimTime now() const noexcept { return kernel_.now(); }
 
-  // ---- Called from inside the process body (body thread only). ----
+  // ---- Called from inside the process body. ----
 
   /// Advances local time by `dt`, modelling computation of that duration.
   void advance(SimTime dt);
@@ -57,7 +63,7 @@ class Process {
   /// Gives other same-time events a chance to run, then resumes.
   void yield_now();
 
-  // ---- Called from kernel events (kernel thread only). ----
+  // ---- Called from kernel events. ----
 
   /// Wakes a suspended process (resumes it at the current event time).  If
   /// the process is not currently suspended the wake is remembered and
@@ -66,12 +72,17 @@ class Process {
 
  private:
   friend class Kernel;
+  struct Fiber;
 
-  /// Kernel-side: transfer control to the body until it yields back.
+  /// Kernel-side: switch to the body until it yields back.
   void resume_from_kernel();
-  /// Body-side: yield control back to the kernel event loop.
+  /// Body-side: switch back to the kernel event loop.
   void yield_to_kernel();
-  void thread_main();
+  /// Saves the body's context and resumes the one that last resumed it.
+  /// `finished` marks the body's final switch (its stack is never re-entered).
+  void switch_to_caller(bool finished);
+  /// First code run on a fresh fiber's stack.
+  static void fiber_entry();
 
   Kernel& kernel_;
   std::string name_;
@@ -79,16 +90,12 @@ class Process {
   std::function<void(Process&)> body_;
   std::uint64_t id_;
 
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool token_with_body_ = false;  // guarded by mutex_
-  bool thread_started_ = false;
+  std::unique_ptr<Fiber> fiber_;  // created by the first resume
 
-  State state_ = State::NotStarted;  // only touched while holding the token
+  State state_ = State::NotStarted;
   bool wake_pending_ = false;
   bool resume_scheduled_ = false;
-  bool kill_requested_ = false;  // set once by ~Process under mutex_
-  std::thread thread_;
+  bool kill_requested_ = false;  // set once by ~Process
 };
 
 }  // namespace specomp::des

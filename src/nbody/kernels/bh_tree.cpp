@@ -50,9 +50,9 @@ struct Cell {
   double size = 0.0;         ///< cube side length
 };
 
-/// Per-thread tree storage, reused across calls (each ThreadCommunicator
-/// rank builds its own trees — same discipline as the SoA scratch in
-/// dispatch.cpp).
+/// Per-thread tree storage, reused across calls.  Shared by the ranks of one
+/// simulated run exactly like the SoA scratch in dispatch.cpp: no call
+/// yields to another rank while it holds the tree.
 struct TreeScratch {
   std::vector<std::uint64_t> keys;      // by original index
   std::vector<std::uint32_t> order;     // sorted pos -> original index

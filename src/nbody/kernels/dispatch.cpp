@@ -17,8 +17,10 @@ namespace {
 std::atomic<ForceKernel> g_default{ForceKernel::Auto};
 std::atomic<double> g_bh_theta{0.5};
 
-/// Thread-local SoA staging buffers, reused across calls (each
-/// ThreadCommunicator rank gets its own set).
+/// Thread-local SoA staging buffers, reused across calls.  Each
+/// ThreadCommunicator rank gets its own set; every rank of one simulated run
+/// shares the set of the thread running its DES kernel.  That is safe
+/// because accumulate() never yields to another rank while it holds them.
 struct SoaScratch {
   std::vector<double> tx, ty, tz;
   std::vector<double> sx, sy, sz, sm;

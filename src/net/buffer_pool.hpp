@@ -5,11 +5,12 @@
 // keeps a small free list of retired vectors so steady-state send/recv
 // traffic reuses capacity instead of hitting the allocator.
 //
-// The pool is per-thread (see local()): the simulated backend runs each
-// rank's sends and receives on distinct process threads, and the thread
-// backend is concurrent by construction, so a thread-local pool needs no
-// locking.  Buffers may migrate between threads (sent by one rank, released
-// by another); that only transfers capacity between pools and is harmless.
+// The pool is per-thread (see local()), so it needs no locking: the thread
+// backend gives each rank its own pool, while every rank of one simulated
+// run shares the pool of the thread running its DES kernel.  Sharing is safe
+// because acquire() and release() never yield to another rank mid-call.
+// Buffers may migrate between threads (sent by one rank, released by
+// another); that only transfers capacity between pools and is harmless.
 #pragma once
 
 #include <cstddef>

@@ -75,7 +75,10 @@ class ByteReader {
     const auto count = read<std::uint64_t>();
     SPEC_EXPECTS(pos_ + count * sizeof(T) <= bytes_.size());
     std::vector<T> values(count);
-    std::memcpy(values.data(), bytes_.data() + pos_, count * sizeof(T));
+    // An empty vector's data() may be null, which memcpy forbids even for
+    // zero bytes.
+    if (count != 0)
+      std::memcpy(values.data(), bytes_.data() + pos_, count * sizeof(T));
     pos_ += count * sizeof(T);
     return values;
   }

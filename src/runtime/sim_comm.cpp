@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <memory>
+#include <stdexcept>
 #include <tuple>
 #include <utility>
 
@@ -56,6 +58,11 @@ class SimWorld {
             } catch (const RankCrashed&) {
               // Fail-stop: the rank simply stops executing; peers run on.
               ++fault_stats_.crashed_ranks;
+            } catch (const HbViolation&) {
+              // The detector's verdict is the run's outcome: stop this rank
+              // and rethrow the first violation once the event loop ends.
+              if (hb_violation_ == nullptr)
+                hb_violation_ = std::current_exception();
             }
             finish_times_[static_cast<std::size_t>(comm->rank_)] = proc.now();
           });
@@ -74,7 +81,14 @@ class SimWorld {
       }
     }
     SimResult result;
-    result.kernel_stats = kernel_.run();
+    try {
+      result.kernel_stats = kernel_.run();
+    } catch (const std::runtime_error&) {
+      // A violation stops its rank and may leave peers blocked; report the
+      // violation, not the deadlock it caused.
+      if (hb_violation_ == nullptr) throw;
+    }
+    if (hb_violation_ != nullptr) std::rethrow_exception(hb_violation_);
     // Surfaced once per run, after the event loop — the kernel hot path
     // never touches the registry, so telemetry stays zero-cost when off.
     obs::metrics()
@@ -230,6 +244,7 @@ class SimWorld {
   std::vector<obs::DistSketch> service_;        // per rank
   int barrier_count_ = 0;
   std::uint64_t barrier_generation_ = 0;
+  std::exception_ptr hb_violation_;  // first HbViolation a rank raised
 #if SPECOMP_HB_CHECK_ENABLED
   std::unique_ptr<HbChecker> hb_;
 #endif

@@ -22,9 +22,10 @@ void run_indexed(std::size_t n, int jobs,
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
-  // A dedicated pool per sweep (not ThreadPool::shared()): simulated ranks
-  // are blocking OS threads, so sweep lanes must not occupy the compute
-  // pool that the force kernels shard work onto.  Grain 1 hands every index
+  // A dedicated pool per sweep (not ThreadPool::shared()): a lane is busy
+  // for a whole simulation, whose rank fibers all run on the lane's thread,
+  // so sweep lanes must not occupy the compute pool that the force kernels
+  // shard work onto.  Grain 1 hands every index
   // to the next free lane; the caller claims chunks too, so lanes == jobs.
   const std::size_t lanes =
       std::min<std::size_t>(static_cast<std::size_t>(jobs), n);
