@@ -6,6 +6,7 @@
 // heat equation, each with and without speculation, and reports time,
 // accuracy and speculation statistics — the paper's generality claim in
 // executable form.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
@@ -25,6 +26,9 @@ using namespace specomp::apps;
 
 namespace {
 
+constexpr std::size_t kJacobiUnknowns = 512;
+constexpr std::size_t kHeatCells = 1024;
+
 runtime::SimConfig latency_bound_network(std::size_t p) {
   runtime::SimConfig config;
   config.cluster = runtime::Cluster::linear(p, 1e6, 4.0);
@@ -35,13 +39,42 @@ runtime::SimConfig latency_bound_network(std::size_t p) {
   return config;
 }
 
+// Every rank needs at least one Jacobi unknown and one heat cell under the
+// capacity-proportional partition.
+bool starves(std::size_t p) {
+  const runtime::Cluster cluster = latency_bound_network(p).cluster;
+  for (const std::size_t items : {kJacobiUnknowns, kHeatCells}) {
+    const auto counts = cluster.proportional_partition(items);
+    if (std::find(counts.begin(), counts.end(), 0u) != counts.end())
+      return true;
+  }
+  return false;
+}
+
+// Bad command-line input is a message and exit status 1, never a library
+// precondition abort.
+int usage_error(const std::string& message) {
+  std::fprintf(stderr, "error: %s\n", message.c_str());
+  return 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const support::Cli cli(argc, argv);
   obs::ArtifactWriter artifacts("heat_jacobi", cli);
-  const auto p = static_cast<std::size_t>(cli.get_int("p", 8));
+  std::size_t max_p = 1;
+  while (!starves(max_p + 1)) ++max_p;
+  const std::int64_t p_arg = cli.get_int("p", 8);
+  if (p_arg < 1 || static_cast<std::size_t>(p_arg) > max_p)
+    return usage_error("--p=" + std::to_string(p_arg) +
+                       " out of range (want 1.." + std::to_string(max_p) +
+                       " so every rank gets rows)");
+  const auto p = static_cast<std::size_t>(p_arg);
   const long iterations = cli.get_int("iterations", 50);
+  if (iterations < 1)
+    return usage_error("--iterations=" + std::to_string(iterations) +
+                       " out of range (want >= 1)");
 
   // Fault injection (DESIGN.md §9): --fault-plan=drop:0.05,... injects
   // deterministic faults on every run below and arms the engine's graceful
@@ -49,17 +82,13 @@ int main(int argc, char** argv) {
   // Collective-algorithm selection (runtime/collective_algo.hpp): routes
   // the backends' barriers and any collectives through flat linear or
   // logarithmic tree algorithms.  Auto defers to the size heuristic.
-  runtime::CollectiveAlgo collective = runtime::CollectiveAlgo::Auto;
   const std::string collective_arg = cli.get("collective", "auto");
-  if (const auto algo = runtime::parse_collective_algo(collective_arg)) {
-    runtime::set_default_collective_algo(*algo);
-    collective = *algo;
-  } else {
-    std::fprintf(stderr,
-                 "warning: unknown --collective '%s' (want flat|tree|auto); "
-                 "keeping auto\n",
-                 collective_arg.c_str());
-  }
+  const auto parsed_collective = runtime::parse_collective_algo(collective_arg);
+  if (!parsed_collective)
+    return usage_error("unknown --collective '" + collective_arg +
+                       "' (want flat|tree|auto)");
+  const runtime::CollectiveAlgo collective = *parsed_collective;
+  runtime::set_default_collective_algo(collective);
 
   // Run-time controllers (DESIGN.md §13): applied to the speculative (FW>0)
   // rows of both apps.  Fail fast on unknown names.
@@ -107,10 +136,11 @@ int main(int argc, char** argv) {
 
   support::Table results({"app", "fw", "makespan_s", "accuracy", "k_percent"});
 
-  std::printf("== Jacobi solver, 512 unknowns, %zu processors ==\n", p);
+  std::printf("== Jacobi solver, %zu unknowns, %zu processors ==\n",
+              kJacobiUnknowns, p);
   for (const int fw : {0, 1}) {
     JacobiScenario s;
-    s.n = 512;
+    s.n = kJacobiUnknowns;
     s.iterations = iterations;
     s.forward_window = fw;
     s.theta = 1e-3;
@@ -143,10 +173,11 @@ int main(int argc, char** argv) {
   // The heat stencil computes so little per iteration that one iteration of
   // slack cannot hide an 80 ms latency — FW = 2 pipelines two of them and
   // wins big, a nice illustration of choosing FW from the comm/comp ratio.
-  std::printf("\n== 1-D heat diffusion, 1024 cells, %zu processors ==\n", p);
+  std::printf("\n== 1-D heat diffusion, %zu cells, %zu processors ==\n",
+              kHeatCells, p);
   for (const int fw : {0, 1, 2}) {
     HeatScenario s;
-    s.problem.n = 1024;
+    s.problem.n = kHeatCells;
     s.iterations = iterations;
     s.forward_window = fw;
     s.theta = 1e-4;

@@ -6,6 +6,7 @@
 // Runs the paper's Section-5 case study on the calibrated simulated testbed
 // and reports per-phase times, speculation statistics, speedup against the
 // fastest single machine, and physics diagnostics (energy drift, momentum).
+#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -20,19 +21,58 @@
 #include "runtime/fault.hpp"
 #include "support/cli.hpp"
 
+namespace {
+
+// Bad command-line input is a message and exit status 1, never a library
+// precondition abort.
+int usage_error(const std::string& message) {
+  std::fprintf(stderr, "error: %s\n", message.c_str());
+  return 1;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace specomp;
   using namespace specomp::nbody;
   const support::Cli cli(argc, argv);
   obs::ArtifactWriter artifacts("nbody_sim", cli);
 
+  const std::size_t fleet = runtime::Cluster::paper_fleet().size();
+  const std::int64_t p = cli.get_int("p", 16);
+  if (p < 1 || static_cast<std::size_t>(p) > fleet)
+    return usage_error("--p=" + std::to_string(p) + " out of range (want 1.." +
+                       std::to_string(fleet) + ", the paper testbed's size)");
+  const std::int64_t iterations = cli.get_int("iterations", 10);
+  if (iterations < 1)
+    return usage_error("--iterations=" + std::to_string(iterations) +
+                       " out of range (want >= 1)");
   NBodyScenario s = paper_testbed_scenario(
-      static_cast<std::size_t>(cli.get_int("p", 16)),
-      cli.get_int("iterations", 10), static_cast<std::uint64_t>(cli.get_int("seed", 0x5eedc0ffee)));
-  s.body.n = static_cast<std::size_t>(cli.get_int("n", 1000));
+      static_cast<std::size_t>(p), iterations,
+      static_cast<std::uint64_t>(cli.get_int("seed", 0x5eedc0ffee)));
+  // Every rank needs at least one body under the capacity-proportional
+  // partition.
+  const auto starves = [&](std::size_t n) {
+    const auto counts = s.sim.cluster.proportional_partition(n);
+    return std::find(counts.begin(), counts.end(), 0u) != counts.end();
+  };
+  std::size_t min_n = 1;
+  while (starves(min_n)) ++min_n;
+  const std::int64_t n = cli.get_int("n", 1000);
+  if (n < 1 || starves(static_cast<std::size_t>(n)))
+    return usage_error("--n=" + std::to_string(n) + " out of range for --p=" +
+                       std::to_string(p) + " (want >= " +
+                       std::to_string(min_n) + " so every rank gets a body)");
+  s.body.n = static_cast<std::size_t>(n);
   s.body.dt = cli.get_double("dt", s.body.dt);
   s.forward_window = static_cast<int>(cli.get_int("fw", 1));
+  if (s.forward_window < 0)
+    return usage_error("--fw=" + std::to_string(s.forward_window) +
+                       " out of range (want >= 0)");
   s.theta = cli.get_double("theta", 0.01);
+  if (!(s.theta >= 0.0))
+    return usage_error("--theta=" + cli.get("theta", "") +
+                       " out of range (want >= 0)");
   s.speculator = cli.get("speculator", "kinematic");
   // Run-time controllers (DESIGN.md §13).  Fail fast on unknown names: a
   // silently ignored policy would taint a whole measurement campaign.
@@ -64,9 +104,15 @@ int main(int argc, char** argv) {
   }
   if (cli.get_bool("baseline")) s.algorithm = Algorithm::Fig7Baseline;
   const std::string init = cli.get("init", "plummer");
-  s.body.init = init == "cube"   ? InitKind::UniformCube
-                : init == "disk" ? InitKind::RotatingDisk
-                                 : InitKind::Plummer;
+  if (init == "plummer")
+    s.body.init = InitKind::Plummer;
+  else if (init == "cube")
+    s.body.init = InitKind::UniformCube;
+  else if (init == "disk")
+    s.body.init = InitKind::RotatingDisk;
+  else
+    return usage_error("unknown --init '" + init +
+                       "' (want plummer|cube|disk)");
   s.sim.record_trace = artifacts.wants_trace();
   // Distribution capture is cheap (fixed-size sketches) but only useful to
   // a report reader, so it follows --report-out.
@@ -123,15 +169,12 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string collective_arg = cli.get("collective", "auto");
-  if (const auto algo = runtime::parse_collective_algo(collective_arg)) {
-    runtime::set_default_collective_algo(*algo);
-    s.sim.collective = *algo;
-  } else {
-    std::fprintf(stderr,
-                 "warning: unknown --collective '%s' (want flat|tree|auto); "
-                 "keeping auto\n",
-                 collective_arg.c_str());
-  }
+  const auto collective = runtime::parse_collective_algo(collective_arg);
+  if (!collective)
+    return usage_error("unknown --collective '" + collective_arg +
+                       "' (want flat|tree|auto)");
+  runtime::set_default_collective_algo(*collective);
+  s.sim.collective = *collective;
   for (const auto& unknown : cli.unused())
     std::fprintf(stderr, "warning: unknown option --%s\n", unknown.c_str());
 

@@ -136,7 +136,7 @@ void tiled_accumulate_range(const SoaView& t, const SoaView& s, double soft2,
                             std::size_t i_end, double* ax, double* ay,
                             double* az) {
   const obs::HistogramRef& timer = tile_timer();
-  // specomp-lint: allow(wall-clock): telemetry-only tile timing; never feeds results or virtual time, and is off unless metrics are enabled
+  // specomp: allow(wall-clock): telemetry-only tile timing; never feeds results or virtual time, and is off unless metrics are enabled
   using WallClock = std::chrono::steady_clock;
   for (std::size_t tile_begin = 0; tile_begin < s.n;
        tile_begin += kSourceTile) {

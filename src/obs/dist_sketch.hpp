@@ -10,7 +10,7 @@
 //
 // Properties the hot path relies on:
 //   * fixed size — 2m+3 markers in std::array storage, no heap, ever;
-//   * O(m) per observe(), allocation-free (specomp-lint hot-path scope
+//   * O(m) per observe(), allocation-free (specomp-analyze hot-path scope
 //     covers this header);
 //   * exact while count ≤ marker count, asymptotically consistent after.
 //

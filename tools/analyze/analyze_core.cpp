@@ -20,48 +20,126 @@ using specscan::Token;
 // Rule table
 // ---------------------------------------------------------------------------
 
-const std::vector<std::pair<std::string, std::string>> kRules = {
-    {"wall-clock",
-     "wall-clock source reachable from a speculation replay path"},
-    {"ambient-rand",
-     "ambient (unseeded) randomness reachable from a replay path"},
-    {"thread-id",
-     "thread identity observed on a replay path — rank must come from the "
-     "communicator"},
-    {"ptr-cast",
-     "pointer value converted to an integer on a replay path — addresses "
-     "differ across runs"},
-    {"unordered-iter",
-     "iteration over an unordered container on a replay path — visit order "
-     "is hash-seed dependent"},
-    {"hot-path-new",
-     "raw allocation on a replay path — allocation is timing- and "
-     "placement-nondeterministic"},
-    {"rollback-unsaved-field",
-     "member mutated by the step/install/correct path but not covered by "
-     "save_state/restore_state/pack_local"},
-    {"rollback-static",
-     "static or mutable state touched by a rollback-scoped method — shared "
-     "across snapshots, escapes restore_state"},
-    {"rollback-io",
-     "file I/O inside a rollback-scoped method — externally visible effects "
-     "cannot be rolled back"},
-    {"rollback-rng",
-     "RNG advanced inside a rollback-scoped method — stream position escapes "
-     "the snapshot"},
-    {"bad-annotation",
-     "malformed specomp: directive (unknown rule id, unknown form, or "
-     "missing justification)"},
+// Directories whose code decides virtual time or executes inside the
+// deterministic simulation world.  Wall-clock and ambient randomness there
+// destroy run-to-run bit identity.
+const std::vector<std::string_view> kDeterministicDirs = {
+    "src/des/", "src/runtime/", "src/spec/", "src/nbody/"};
+
+// Directories whose iteration order reaches serialized output or
+// virtual-time decisions (the simulation world plus the telemetry
+// serializers).  std::map is fine; unordered containers are not.
+const std::vector<std::string_view> kOrderSensitiveDirs = {
+    "src/des/", "src/runtime/", "src/spec/", "src/nbody/", "src/obs/"};
+
+const std::vector<RuleSpec> kRules = {
+    {.id = "wall-clock",
+     .summary = "wall-clock read (system_clock/steady_clock/time()/clock()/"
+                "...) in deterministic simulation code or on a speculation "
+                "replay path",
+     .per_site = true,
+     .whole_program = true,
+     .include_prefixes = kDeterministicDirs},
+    {.id = "ambient-rand",
+     .summary = "ambient randomness (rand()/random_device/default-seeded "
+                "engine) in deterministic simulation code or on a replay path",
+     .per_site = true,
+     .whole_program = true,
+     .include_prefixes = kDeterministicDirs},
+    {.id = "hot-path-callable",
+     .summary = "std::function/std::bind in a DES hot-path header (regresses "
+                "the allocation-free event arena; use des::EventFn or a "
+                "template parameter)",
+     .per_site = true,
+     // Trace/distribution emission sits on the send/recv/compute hot paths,
+     // so its headers get the same no-type-erased-callables discipline, as
+     // do the collectives (every hop is a hot-path send/recv), the force
+     // kernels (the per-pair inner loops), the integrator family (invoked
+     // once per stage per step, with the force model on the stack), and the
+     // CPUID feature probe (consulted on every kernel dispatch).
+     // (runtime/communicator.hpp stays out: RankBody is std::function by
+     // design — it is invoked once per rank, not per event.)
+     .include_prefixes = {"src/des/", "src/obs/dist_sketch",
+                          "src/obs/trace_export", "src/runtime/collective",
+                          "src/nbody/kernels/", "src/nbody/integrators/",
+                          "src/support/cpu_features"},
+     .headers_only = true},
+    {.id = "unordered-iter",
+     .summary = "iteration over an unordered container in order-sensitive "
+                "code or on a replay path (visit order is hash-seed "
+                "dependent)",
+     .per_site = true,
+     .whole_program = true,
+     .include_prefixes = kOrderSensitiveDirs},
+    {.id = "naked-new",
+     .summary = "naked new/delete outside src/support (own it with a "
+                "container, unique_ptr, or an arena)",
+     .per_site = true,
+     .include_prefixes = {"src/", "bench/", "tests/"},
+     .exclude_prefixes = {"src/support/"}},
+    {.id = "thread-id",
+     .summary = "thread identity observed on a replay path — rank must come "
+                "from the communicator",
+     .whole_program = true},
+    {.id = "ptr-cast",
+     .summary = "pointer value converted to an integer on a replay path — "
+                "addresses differ across runs",
+     .whole_program = true},
+    {.id = "hot-path-new",
+     .summary = "raw allocation on a replay path — allocation is timing- and "
+                "placement-nondeterministic",
+     .whole_program = true},
+    {.id = "rollback-unsaved-field",
+     .summary = "member mutated by the step/install/correct path but not "
+                "covered by save_state/restore_state/pack_local",
+     .whole_program = true},
+    {.id = "rollback-static",
+     .summary = "static or mutable state touched by a rollback-scoped method "
+                "— shared across snapshots, escapes restore_state",
+     .whole_program = true},
+    {.id = "rollback-io",
+     .summary = "file I/O inside a rollback-scoped method — externally "
+                "visible effects cannot be rolled back",
+     .whole_program = true},
+    {.id = "rollback-rng",
+     .summary = "RNG advanced inside a rollback-scoped method — stream "
+                "position escapes the snapshot",
+     .whole_program = true},
+    {.id = "bad-annotation",
+     .summary = "malformed specomp: directive (unknown rule id, unknown form, "
+                "or missing justification)",
+     .per_site = true},
 };
 
-bool known_rule(std::string_view id) {
+const RuleSpec* find_rule(std::string_view id) {
   for (const auto& r : kRules)
-    if (r.first == id) return true;
-  return false;
+    if (r.id == id) return &r;
+  return nullptr;
+}
+
+bool has_prefix(std::string_view path,
+                const std::vector<std::string_view>& prefixes) {
+  return std::any_of(prefixes.begin(), prefixes.end(),
+                     [&](std::string_view p) { return path.starts_with(p); });
+}
+
+bool is_header(std::string_view path) {
+  return path.ends_with(".hpp") || path.ends_with(".h") ||
+         path.ends_with(".hh");
+}
+
+// Per-site scope of `rule` (an id from kRules) at `path`.
+bool site_rule_applies(std::string_view rule, std::string_view path) {
+  const RuleSpec& r = *find_rule(rule);
+  if (r.headers_only && !is_header(path)) return false;
+  if (!r.include_prefixes.empty() && !has_prefix(path, r.include_prefixes))
+    return false;
+  return !has_prefix(path, r.exclude_prefixes);
 }
 
 // ---------------------------------------------------------------------------
-// Seed vocabularies (mirror tools/lint where the rules overlap)
+// Token vocabulary, shared by the per-site pass, the taint seeds and the
+// rollback escapes
 // ---------------------------------------------------------------------------
 
 const std::set<std::string_view> kClockIdents = {
@@ -71,6 +149,10 @@ const std::set<std::string_view> kClockIdents = {
 
 const std::set<std::string_view> kRandCalls = {"rand", "srand", "drand48",
                                                "lrand48", "mrand48"};
+
+const std::set<std::string_view> kEngines = {
+    "mt19937",  "mt19937_64", "minstd_rand",           "minstd_rand0",
+    "ranlux24", "ranlux48",   "default_random_engine", "knuth_b"};
 
 const std::set<std::string_view> kUnorderedContainers = {
     "unordered_map", "unordered_set", "unordered_multimap",
@@ -84,9 +166,69 @@ const std::set<std::string_view> kMutatingMembers = {
 const std::set<std::string_view> kIoIdents = {
     "ofstream", "fstream", "fopen", "fwrite", "fprintf", "fputs", "FILE"};
 
+std::string_view text_at(const std::vector<Token>& toks, std::size_t i) {
+  return i < toks.size() ? toks[i].text : std::string_view{};
+}
+
+bool is_member_access(const std::vector<Token>& toks, std::size_t i) {
+  const std::string_view prev = i > 0 ? text_at(toks, i - 1) : "";
+  return prev == "." || prev == "->";
+}
+
+// Keywords that can legitimately precede a function call expression; any
+// other preceding identifier means `name(` is a declaration (`VectorClock
+// clock(int)`) or a qualified member (`HbChecker::clock(r)`), not a call to
+// the libc function.
+const std::set<std::string_view> kCallPrecedingKeywords = {
+    "return", "co_return", "co_yield", "case", "throw", "else", "do"};
+
+bool is_libc_style_call(const std::vector<Token>& toks, std::size_t i) {
+  if (text_at(toks, i + 1) != "(") return false;
+  if (i == 0) return true;
+  const std::string_view prev = text_at(toks, i - 1);
+  if (prev == "." || prev == "->") return false;
+  // `std::time(` is the libc call; any other qualifier (`HbChecker::clock(`)
+  // names a member.
+  if (prev == "::") return i >= 2 && text_at(toks, i - 2) == "std";
+  if (specscan::is_identifier(prev) && kCallPrecedingKeywords.count(prev) == 0)
+    return false;  // declaration: preceding identifier is the return type
+  return true;
+}
+
+// A wall-clock source: a host clock type or function, or a libc-style
+// time()/clock() call.
+bool is_wall_clock(const std::vector<Token>& toks, std::size_t i) {
+  const std::string_view t = text_at(toks, i);
+  return kClockIdents.count(t) != 0 ||
+         ((t == "time" || t == "clock") && is_libc_style_call(toks, i));
+}
+
+// `std::mt19937 gen;` / `std::mt19937 gen{};` — a default-seeded engine.
+bool is_default_engine(const std::vector<Token>& toks, std::size_t i) {
+  if (kEngines.count(text_at(toks, i)) == 0 ||
+      !specscan::is_identifier(text_at(toks, i + 1)))
+    return false;
+  const std::string_view after = text_at(toks, i + 2);
+  return after == ";" || (after == "{" && text_at(toks, i + 3) == "}");
+}
+
+// Ambient randomness: std::random_device, a libc PRNG call (`rand()`,
+// `std::rand()`; not a member `eng.rand()`), or a default-seeded engine.
+bool is_ambient_rand(const std::vector<Token>& toks, std::size_t i) {
+  const std::string_view t = text_at(toks, i);
+  if (t == "random_device") return true;
+  if (kRandCalls.count(t) != 0)
+    return text_at(toks, i + 1) == "(" && !is_member_access(toks, i);
+  return is_default_engine(toks, i);
+}
+
+// `::new (ptr) T(...)` constructs in caller-owned storage.
+bool is_placement_new(const std::vector<Token>& toks, std::size_t i) {
+  return text_at(toks, i + 1) == "(";
+}
+
 // ---------------------------------------------------------------------------
 // Annotations: specomp: pure / rollback-covered(field): why / allow(rule): why
-// plus the pre-existing specomp-lint: allow(rule): why directives.
 // ---------------------------------------------------------------------------
 
 struct FileAnnotations {
@@ -141,47 +283,22 @@ bool has_justification(const std::string& text, std::size_t k) {
 FileAnnotations parse_annotations(std::string_view path,
                                   const std::vector<ScannedLine>& lines) {
   FileAnnotations a;
-  constexpr std::string_view kLintDirective = "specomp-lint:";
   constexpr std::string_view kDirective = "specomp:";
   for (std::size_t li = 0; li < lines.size(); ++li) {
     const std::string& comment = lines[li].comment;
     const int line_no = static_cast<int>(li) + 1;
-
-    // specomp-lint: allow(...) — lint validates these itself; the analyzer
-    // just honours the ids it shares with lint.
-    std::size_t pos = comment.find(kLintDirective);
+    std::size_t pos = comment.find(kDirective);
     while (pos != std::string::npos) {
-      std::size_t i = pos + kLintDirective.size();
-      while (i < comment.size() && comment[i] == ' ') ++i;
-      if (comment.compare(i, 6, "allow(") == 0) {
-        std::size_t close = std::string::npos;
-        for (const auto& id : parse_id_list(comment, i + 6, close))
-          if (!id.empty()) a.allows[line_no].insert(id);
-        if (close == std::string::npos) break;
-        pos = comment.find(kLintDirective, close);
-      } else {
-        pos = comment.find(kLintDirective, i);
-      }
-    }
-
-    // The analyzer's own directives, strictly validated.
-    pos = comment.find(kDirective);
-    while (pos != std::string::npos) {
-      // Reject prose matches: "specomp::obs" (namespace) and the lint
-      // directive's own prefix overlap.
+      // Reject prose matches: "specomp::obs" (namespace).
       if (pos + kDirective.size() < comment.size() &&
           comment[pos + kDirective.size()] == ':') {
         pos = comment.find(kDirective, pos + kDirective.size() + 1);
         continue;
       }
-      if (pos >= 5 && comment.compare(pos - 5, 5, "-lint") == 0) {
-        pos = comment.find(kDirective, pos + kDirective.size());
-        continue;
-      }
       std::size_t i = pos + kDirective.size();
       auto fail = [&](const std::string& why) {
         a.bad.push_back({"bad-annotation", std::string(path), line_no,
-                         std::string{}, why, {}, false});
+                         std::string{}, why, {}, false, true});
       };
       while (i < comment.size() && comment[i] == ' ') ++i;
       if (comment.compare(i, 4, "pure") == 0 &&
@@ -201,7 +318,7 @@ FileAnnotations parse_annotations(std::string_view path,
         }
         bool ok = true;
         for (const auto& id : ids) {
-          if (id.empty() || !known_rule(id)) {
+          if (id.empty() || find_rule(id) == nullptr) {
             fail("unknown rule id '" + id + "' in specomp: allow(...)");
             ok = false;
           }
@@ -240,6 +357,167 @@ FileAnnotations parse_annotations(std::string_view path,
     }
   }
   return a;
+}
+
+// ---------------------------------------------------------------------------
+// Per-site pass: every match inside the rule's path scope is a finding
+// ---------------------------------------------------------------------------
+
+struct SiteScan {
+  const std::string& path;
+  const std::vector<Token>& toks;
+  const FileAnnotations& ann;
+  std::vector<AnalyzeFinding>& out;
+
+  std::string_view tok(std::size_t i) const { return text_at(toks, i); }
+  void report(std::size_t i, std::string_view rule,
+              std::string message) const {
+    const int line = toks[i].line;
+    if (ann.allowed(line, rule)) return;
+    out.push_back({std::string(rule), path, line, std::string{},
+                   std::move(message), {}, false, true});
+  }
+};
+
+void site_wall_clock(const SiteScan& f) {
+  for (std::size_t i = 0; i < f.toks.size(); ++i) {
+    if (!is_wall_clock(f.toks, i)) continue;
+    const std::string t(f.tok(i));
+    f.report(i, "wall-clock",
+             (kClockIdents.count(t) != 0 ? "wall-clock source '" + t + "'"
+                                         : "call to '" + t + "()'") +
+                 " in deterministic simulation code — virtual time must "
+                 "come from the DES kernel");
+  }
+}
+
+void site_ambient_rand(const SiteScan& f) {
+  for (std::size_t i = 0; i < f.toks.size(); ++i) {
+    if (!is_ambient_rand(f.toks, i)) continue;
+    const std::string t(f.tok(i));
+    if (t == "random_device")
+      f.report(i, "ambient-rand",
+               "std::random_device in deterministic simulation code — "
+               "randomness must flow from an explicit seed "
+               "(support::Xoshiro256)");
+    else if (kRandCalls.count(t) != 0)
+      f.report(i, "ambient-rand",
+               "ambient PRNG call '" + t +
+                   "()' — randomness must flow from an explicit seed");
+    else
+      f.report(i, "ambient-rand",
+               "default-constructed random engine '" + t + " " +
+                   std::string(f.tok(i + 1)) +
+                   "' — seed it explicitly for reproducible streams");
+  }
+}
+
+void site_hot_path_callable(const SiteScan& f) {
+  for (std::size_t i = 0; i + 2 < f.toks.size(); ++i) {
+    if (f.tok(i) == "std" && f.tok(i + 1) == "::" &&
+        (f.tok(i + 2) == "function" || f.tok(i + 2) == "bind")) {
+      f.report(i + 2, "hot-path-callable",
+               "std::" + std::string(f.tok(i + 2)) +
+                   " in a DES hot-path header — use des::EventFn or a "
+                   "template parameter (keeps the event arena allocation-free)");
+    }
+  }
+}
+
+void site_unordered_iter(const SiteScan& f) {
+  // Pass 1: names declared with an unordered container type in this file.
+  std::set<std::string_view> vars;
+  for (std::size_t i = 0; i < f.toks.size(); ++i) {
+    if (kUnorderedContainers.count(f.tok(i)) == 0) continue;
+    std::size_t j = i + 1;
+    if (f.tok(j) == "<") {
+      int depth = 1;
+      ++j;
+      while (j < f.toks.size() && depth > 0) {
+        if (f.tok(j) == "<") ++depth;
+        if (f.tok(j) == ">") --depth;
+        ++j;
+      }
+    }
+    // Skip ref/pointer declarators and trailing cv-qualifiers so parameters
+    // like `const std::unordered_map<K, V>& name` are tracked too.
+    while (f.tok(j) == "&" || f.tok(j) == "&&" || f.tok(j) == "*" ||
+           f.tok(j) == "const")
+      ++j;
+    if (specscan::is_identifier(f.tok(j))) vars.insert(f.tok(j));
+  }
+  if (vars.empty()) return;
+
+  auto flag = [&](std::size_t i, std::string_view name) {
+    f.report(i, "unordered-iter",
+             "iteration over unordered container '" + std::string(name) +
+                 "' — iteration order is implementation-defined and must not "
+                 "reach serialized output or virtual-time decisions (use "
+                 "std::map or sort first)");
+  };
+
+  // Pass 2a: range-for whose range expression names one of the containers.
+  for (std::size_t i = 0; i + 1 < f.toks.size(); ++i) {
+    if (f.tok(i) != "for" || f.tok(i + 1) != "(") continue;
+    int depth = 1;
+    std::size_t j = i + 2;
+    std::size_t colon = 0;
+    while (j < f.toks.size() && depth > 0) {
+      if (f.tok(j) == "(") ++depth;
+      if (f.tok(j) == ")") --depth;
+      if (depth == 1 && f.tok(j) == ":" && colon == 0) colon = j;
+      ++j;
+    }
+    if (colon == 0) continue;
+    for (std::size_t k = colon + 1; k < j; ++k) {
+      if (vars.count(f.tok(k)) != 0) {
+        flag(i, f.tok(k));
+        break;
+      }
+    }
+  }
+  // Pass 2b: iterator walks (`m.begin()` / `m.cbegin()`).
+  for (std::size_t i = 0; i + 3 < f.toks.size(); ++i) {
+    if (vars.count(f.tok(i)) != 0 &&
+        (f.tok(i + 1) == "." || f.tok(i + 1) == "->") &&
+        (f.tok(i + 2) == "begin" || f.tok(i + 2) == "cbegin" ||
+         f.tok(i + 2) == "rbegin") &&
+        f.tok(i + 3) == "(") {
+      flag(i, f.tok(i));
+    }
+  }
+}
+
+void site_naked_new(const SiteScan& f) {
+  for (std::size_t i = 0; i < f.toks.size(); ++i) {
+    const std::string_view t = f.tok(i);
+    const std::string_view prev = i > 0 ? f.tok(i - 1) : std::string_view{};
+    if (prev == "operator") continue;  // operator new/delete definitions
+    if (t == "new") {
+      if (is_placement_new(f.toks, i)) continue;
+      f.report(i, "naked-new",
+               "naked 'new' outside src/support — own the allocation with a "
+               "container, std::unique_ptr, or an arena");
+    } else if (t == "delete") {
+      if (prev == "=") continue;  // = delete
+      f.report(i, "naked-new",
+               "naked 'delete' outside src/support — pair allocations with "
+               "owning types instead");
+    }
+  }
+}
+
+void site_pass(const SiteScan& f) {
+  using Check = void (*)(const SiteScan&);
+  static const std::pair<std::string_view, Check> kChecks[] = {
+      {"wall-clock", site_wall_clock},
+      {"ambient-rand", site_ambient_rand},
+      {"hot-path-callable", site_hot_path_callable},
+      {"unordered-iter", site_unordered_iter},
+      {"naked-new", site_naked_new},
+  };
+  for (const auto& [rule, check] : kChecks)
+    if (site_rule_applies(rule, f.path)) check(f);
 }
 
 // ---------------------------------------------------------------------------
@@ -300,18 +578,15 @@ void collect_seeds(const FileIndex& file, const std::vector<Symbol>& symbols,
       if (ann.allowed(line, rule)) return;
       out.push_back({std::string(rule), std::string(t), line, sym});
     };
-    if (kClockIdents.count(t) != 0) {
+    if (is_wall_clock(toks, i)) {
       add("wall-clock");
-    } else if (t == "random_device" ||
-               (kRandCalls.count(t) != 0 && tok(i + 1) == "(" &&
-                (i == 0 || (tok(i - 1) != "." && tok(i - 1) != "->" &&
-                            tok(i - 1) != "::")))) {
+    } else if (is_ambient_rand(toks, i)) {
       add("ambient-rand");
     } else if (t == "get_id" && tok(i + 1) == "(") {
       add("thread-id");
     } else if (t == "uintptr_t" || t == "intptr_t") {
       add("ptr-cast");
-    } else if (t == "new" && tok(i + 1) != "(") {  // placement new exempt
+    } else if (t == "new" && !is_placement_new(toks, i)) {
       add("hot-path-new");
     } else if (kUnorderedContainers.count(t) != 0) {
       has_unordered.insert(sym);
@@ -425,12 +700,32 @@ struct Analyzer {
   std::map<std::string, std::size_t> file_by_path;
   AnalyzeResult result;
 
-  void add_file(const std::string& path, std::string_view content) {
+  // Files under kWholeProgramDirs join the symbol index; every file gets
+  // its directives checked and the per-site pass.
+  void add_file(std::string path, std::string_view content) {
+    std::replace(path.begin(), path.end(), '\\', '/');
+    if (!has_prefix(path, kWholeProgramDirs)) {
+      const std::vector<ScannedLine> lines = specscan::scan(content);
+      check_sites(path, lines, specscan::tokenize(lines));
+      return;
+    }
     table.add_file(path, content);
     const FileIndex& file = table.files().back();
     annotations.emplace(file.path,
-                        parse_annotations(file.path, file.lines));
+                        check_sites(file.path, file.lines, file.tokens));
     file_by_path.emplace(file.path, table.files().size() - 1);
+  }
+
+  FileAnnotations check_sites(const std::string& path,
+                              const std::vector<ScannedLine>& lines,
+                              const std::vector<Token>& tokens) {
+    FileAnnotations ann = parse_annotations(path, lines);
+    auto& out = result.findings;
+    out.insert(out.end(), std::make_move_iterator(ann.bad.begin()),
+               std::make_move_iterator(ann.bad.end()));
+    ann.bad.clear();
+    site_pass({path, tokens, ann, out});
+    return ann;
   }
 
   bool is_pure(const Symbol& s) const {
@@ -451,8 +746,6 @@ struct Analyzer {
   void run() {
     result.symbols_indexed = table.symbols().size();
     result.classes_indexed = table.classes().size();
-    for (const auto& [path, ann] : annotations)
-      for (const auto& f : ann.bad) result.findings.push_back(f);
     taint_pass();
     rollback_pass();
     std::sort(result.findings.begin(), result.findings.end(),
@@ -688,10 +981,7 @@ struct Analyzer {
         add("rollback-io", line,
             "file I/O '" + std::string(t) + "' in rollback-scoped method " +
                 sym.qualified() + " — effects are not rolled back");
-      } else if (t == "random_device" ||
-                 (kRandCalls.count(t) != 0 && tok(i + 1) == "(" &&
-                  (i == 0 || (tok(i - 1) != "." && tok(i - 1) != "->" &&
-                              tok(i - 1) != "::")))) {
+      } else if (is_ambient_rand(toks, i)) {
         add("rollback-rng", line,
             "RNG '" + std::string(t) + "' advanced in rollback-scoped "
             "method " + sym.qualified() + " — stream position escapes the "
@@ -707,9 +997,7 @@ struct Analyzer {
 // Public API
 // ---------------------------------------------------------------------------
 
-const std::vector<std::pair<std::string, std::string>>& analyze_rules() {
-  return kRules;
-}
+const std::vector<RuleSpec>& analyze_rules() { return kRules; }
 
 AnalyzeResult analyze_files(
     const std::vector<std::pair<std::string, std::string>>& files) {
@@ -741,7 +1029,8 @@ std::string baseline_key(const AnalyzeFinding& f) {
 std::string make_baseline_json(const AnalyzeResult& result) {
   using specomp::obs::Json;
   std::vector<const AnalyzeFinding*> sorted;
-  for (const auto& f : result.findings) sorted.push_back(&f);
+  for (const auto& f : result.findings)
+    if (!f.per_site) sorted.push_back(&f);
   std::sort(sorted.begin(), sorted.end(),
             [](const AnalyzeFinding* x, const AnalyzeFinding* y) {
               return baseline_key(*x) < baseline_key(*y);
@@ -782,7 +1071,7 @@ std::size_t apply_baseline(AnalyzeResult& result,
   }
   std::size_t fresh = 0;
   for (auto& f : result.findings) {
-    f.baselined = keys.count(baseline_key(f)) != 0;
+    f.baselined = !f.per_site && keys.count(baseline_key(f)) != 0;
     if (!f.baselined) ++fresh;
   }
   return fresh;
@@ -839,6 +1128,7 @@ std::string to_json_report(const AnalyzeResult& result) {
     e.set("symbol", f.symbol);
     e.set("detail", f.detail);
     e.set("baselined", f.baselined);
+    e.set("per_site", f.per_site);
     Json chain = Json::array();
     for (const auto& frame : f.chain) chain.push_back(frame);
     e.set("chain", std::move(chain));
@@ -851,11 +1141,11 @@ std::string to_json_report(const AnalyzeResult& result) {
 std::string to_sarif_report(const AnalyzeResult& result) {
   using specomp::obs::Json;
   Json rules = Json::array();
-  for (const auto& [id, desc] : analyze_rules()) {
+  for (const auto& rule : analyze_rules()) {
     Json r = Json::object();
-    r.set("id", id);
+    r.set("id", std::string(rule.id));
     Json text = Json::object();
-    text.set("text", desc);
+    text.set("text", std::string(rule.summary));
     r.set("shortDescription", std::move(text));
     rules.push_back(std::move(r));
   }

@@ -1,16 +1,17 @@
-// specomp-analyze CLI — whole-program nondeterminism-taint and
-// rollback-safety analysis (see analyze_core.hpp).
+// specomp-analyze CLI — per-site determinism rules, whole-program
+// nondeterminism taint and rollback-safety analysis (see analyze_core.hpp).
 //
-//   $ specomp-analyze --root . src tools examples            # what CI runs
+//   $ specomp-analyze --root .        # scans src bench tests tools examples
 //   $ specomp-analyze --root . --baseline tools/analyze/baseline.json
 //         --out analyze-report.txt --json analyze-report.json
-//         --sarif analyze-report.sarif src tools examples    # (one line)
+//         --sarif analyze-report.sarif        # what CI runs (one line)
 //   $ specomp-analyze --root . --write-baseline tools/analyze/baseline.json
 //   $ specomp-analyze --list-rules
 //
-// Exit status: 0 clean (every finding baselined), 1 new findings,
-// 2 usage/IO error.  All reports are written atomically (stage + rename) so
-// a crashed run never leaves a truncated artifact for CI to upload.
+// Exit status: 0 clean (no per-site findings, every whole-program finding
+// baselined), 1 new findings, 2 usage/IO error.  All reports are written
+// atomically (stage + rename) so a crashed run never leaves a truncated
+// artifact for CI to upload.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -22,8 +23,25 @@ namespace {
 
 void print_rules() {
   std::printf("specomp-analyze rules:\n");
-  for (const auto& [id, desc] : specana::analyze_rules())
-    std::printf("  %-24s %s\n", id.c_str(), desc.c_str());
+  for (const auto& rule : specana::analyze_rules()) {
+    std::printf("  %-24s %s\n", std::string(rule.id).c_str(),
+                std::string(rule.summary).c_str());
+    std::string scope;
+    if (rule.per_site) {
+      scope += " per-site:";
+      for (const auto& p : rule.include_prefixes) scope += " " + std::string(p);
+      for (const auto& p : rule.exclude_prefixes) scope += " -" + std::string(p);
+      if (rule.include_prefixes.empty()) scope += " (every scanned file)";
+      if (rule.headers_only) scope += " (headers only)";
+    }
+    if (rule.whole_program) {
+      scope += rule.per_site ? ";" : "";
+      scope += " whole-program:";
+      for (const auto& p : specana::kWholeProgramDirs)
+        scope += " " + std::string(p);
+    }
+    std::printf("  %-24s  %s\n", "", scope.c_str());
+  }
   std::printf(
       "\nsuppress with: // specomp: allow(<rule>): <justification>\n"
       "               // specomp: pure\n"
@@ -79,7 +97,7 @@ int main(int argc, char** argv) {
     }
     subdirs.push_back(arg);
   }
-  if (subdirs.empty()) subdirs = {"src", "tools", "examples"};
+  if (subdirs.empty()) subdirs = specana::kDefaultScanDirs;
 
   specana::AnalyzeResult result = specana::analyze_tree(root, subdirs);
 

@@ -1,19 +1,18 @@
-// Shared C++ source scanner for the repo's dependency-free static tools.
+// C++ source scanner for specomp-analyze, the repo's dependency-free
+// static checker.
 //
-// specomp-lint (PR 4) grew a hand-rolled line scanner that blanks comments,
-// string/char literals and preprocessor lines before token matching — block
-// comments and raw strings carry state across lines — plus a small
-// identifier/punctuation tokenizer.  specomp-analyze (the whole-program
-// determinism & rollback-safety analyzer) needs exactly the same front end,
-// so it lives here as a library both tools link.  No compiler, no AST, no
-// third-party deps: it scans the whole tree in milliseconds and builds
-// anywhere a C++20 compiler exists.
+// A hand-rolled line scanner blanks comments, string/char literals and
+// preprocessor lines before token matching — block comments and raw strings
+// carry state across lines — plus a small identifier/punctuation tokenizer.
+// The analyzer's per-site rules, symbol index and annotation parser all read
+// its output.  No compiler, no AST, no third-party deps: it scans the whole
+// tree in milliseconds and builds anywhere a C++20 compiler exists.
 //
 // Contract notes:
 //   * ScannedLine::code is the line with literals/comments/preprocessor
 //     text blanked to spaces (so columns still line up with the source);
 //     ScannedLine::comment is the concatenated comment text of the line —
-//     directive parsers (lint allows, analyze annotations) read it.
+//     the annotation parser reads it.
 //   * Token::text is a string_view into the ScannedLine::code strings; the
 //     lines vector must outlive the tokens.
 //   * tokenize() emits identifiers and single-char punctuation, with "::"
