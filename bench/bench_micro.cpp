@@ -88,8 +88,9 @@ void BM_Speculator(benchmark::State& state) {
     history.record(t, block);
   }
   const SpeculatorT speculator;
+  std::vector<double> out;  // reused, as the engine reuses a slot's block
   for (auto _ : state) {
-    auto out = speculator.predict(history, 1);
+    speculator.predict(history, 1, out);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -105,8 +106,9 @@ void BM_KinematicSpeculator(benchmark::State& state) {
   std::vector<double> block(particles * nbody::kDoublesPerParticle, 1.0);
   history.record(0, block);
   const nbody::KinematicSpeculator speculator(0.03);
+  std::vector<double> out;
   for (auto _ : state) {
-    auto out = speculator.predict(history, 1);
+    speculator.predict(history, 1, out);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

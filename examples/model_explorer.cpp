@@ -7,27 +7,53 @@
 // Prints the speedup curves with/without speculation, the per-processor
 // breakdown of eq. 8 at p = 16, and a k-sweep — useful for reasoning about
 // when speculative computation pays off on a given platform.
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
+#include <string>
 
 #include "model/perf_model.hpp"
 #include "obs/artifacts.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
 
+namespace {
+
+/// Largest --procs accepted: the model is evaluated for every p up to it,
+/// and 1024 is the largest cluster the simulator benches run.
+constexpr std::int64_t kMaxProcs = 1024;
+
+// Bad command-line input is a message and exit status 1, never a library
+// precondition abort.
+int usage_error(const std::string& message) {
+  std::fprintf(stderr, "error: %s\n", message.c_str());
+  return 1;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace specomp;
   const support::Cli cli(argc, argv);
   obs::ArtifactWriter artifacts("model_explorer", cli);
 
+  const std::int64_t procs_arg = cli.get_int("procs", 16);
+  if (procs_arg < 1 || procs_arg > kMaxProcs)
+    return usage_error("--procs=" + std::to_string(procs_arg) +
+                       " out of range (want 1.." + std::to_string(kMaxProcs) +
+                       ")");
+  const std::int64_t n = cli.get_int("n", 1000);
+  if (n < 1)
+    return usage_error("--n=" + std::to_string(n) +
+                       " out of range (want >= 1)");
+
   model::ModelParams params = model::paper_figure5_params(cli.get_double("k", 0.02));
-  params.total_variables =
-      static_cast<std::size_t>(cli.get_int("n", 1000));
+  params.total_variables = static_cast<std::size_t>(n);
   if (cli.has("fspec-ratio"))
     params.f_spec = params.f_comp / cli.get_double("fspec-ratio", 500.0);
   if (cli.has("fcheck-ratio"))
     params.f_check = params.f_comp / cli.get_double("fcheck-ratio", 250.0);
-  const auto procs = static_cast<std::size_t>(cli.get_int("procs", 16));
+  const auto procs = static_cast<std::size_t>(procs_arg);
   params.cluster = runtime::Cluster::linear(
       procs, 12.0e6, cli.get_double("ratio", 10.0));
   const model::PerfModel perf(params);

@@ -46,13 +46,13 @@ class NBodyApp::WindowForce final : public integrators::ForceModel {
   NBodyApp& app_;
 };
 
-std::vector<double> KinematicSpeculator::predict(const spec::History& history,
-                                                 int steps) const {
+void KinematicSpeculator::predict(const spec::History& history, int steps,
+                                  std::vector<double>& out) const {
   SPEC_EXPECTS(!history.empty());
   SPEC_EXPECTS(steps >= 1);
   const auto& newest = history.back(0).block;
   SPEC_EXPECTS(newest.size() % kDoublesPerParticle == 0);
-  std::vector<double> out(newest.size());
+  out.resize(newest.size());
   const double horizon = dt_ * static_cast<double>(steps);
   for (std::size_t i = 0; i < newest.size(); i += kDoublesPerParticle) {
     // r* = r + v * (steps * dt); v* = v  (paper eq. 10 with constant
@@ -64,7 +64,6 @@ std::vector<double> KinematicSpeculator::predict(const spec::History& history,
     out[i + 4] = newest[i + 4];
     out[i + 5] = newest[i + 5];
   }
-  return out;
 }
 
 NBodyApp::NBodyApp(const NBodyConfig& config, const Partition& partition,

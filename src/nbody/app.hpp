@@ -31,8 +31,8 @@ class KinematicSpeculator final : public spec::Speculator {
  public:
   explicit KinematicSpeculator(double dt) : dt_(dt) {}
 
-  std::vector<double> predict(const spec::History& history,
-                              int steps) const override;
+  void predict(const spec::History& history, int steps,
+               std::vector<double>& out) const override;
   std::size_t backward_window() const noexcept override { return 1; }
   /// 12 ops per particle (paper) over 6 doubles per particle.
   double ops_per_variable() const noexcept override {

@@ -22,6 +22,11 @@
 // its take_blocking no longer rescans the whole queue to recompute the next
 // wake-up — the not-yet-visible messages sit in a per-stream min-heap whose
 // top *is* the next maturity time.
+//
+// Both index their streams by tag through TagIndex, which recycles a tag's
+// entry once every stream under it is drained: iterating workloads use a
+// fresh tag per iteration, so without recycling the map grows by one entry
+// per iteration and every new entry allocates its streams afresh.
 #pragma once
 
 #include <algorithm>
@@ -57,45 +62,115 @@ struct Stored {
   std::uint64_t key = 0;
 };
 
+/// The stream's smallest-key message sits inline in `head_`, the rest in a
+/// min-heap: iterating workloads queue one message per (src, tag), so the
+/// common case never allocates.
 class SeqStream {
  public:
-  bool empty() const noexcept { return heap_.empty(); }
-  std::size_t size() const noexcept { return heap_.size(); }
+  bool empty() const noexcept { return !has_head_; }
 
-  const Stored& front() const noexcept { return heap_.front(); }
+  const Stored& front() const noexcept { return head_; }
 
   void push(Stored item) {
-    heap_.push_back(std::move(item));
-    std::size_t hole = heap_.size() - 1;
+    if (!has_head_) {
+      head_ = std::move(item);
+      has_head_ = true;
+      return;
+    }
+    if (item.key < head_.key) std::swap(item, head_);
+    rest_.push_back(std::move(item));
+    std::size_t hole = rest_.size() - 1;
     while (hole > 0) {
       const std::size_t parent = (hole - 1) / 2;
-      if (heap_[parent].key <= heap_[hole].key) break;
-      std::swap(heap_[parent], heap_[hole]);
+      if (rest_[parent].key <= rest_[hole].key) break;
+      std::swap(rest_[parent], rest_[hole]);
       hole = parent;
     }
   }
 
   Stored pop() {
-    Stored out = std::move(heap_.front());
-    heap_.front() = std::move(heap_.back());
-    heap_.pop_back();
+    Stored out = std::move(head_);
+    if (rest_.empty()) {
+      has_head_ = false;
+      return out;
+    }
+    head_ = std::move(rest_.front());
+    rest_.front() = std::move(rest_.back());
+    rest_.pop_back();
     std::size_t hole = 0;
-    const std::size_t n = heap_.size();
+    const std::size_t n = rest_.size();
     for (;;) {
       const std::size_t left = 2 * hole + 1;
       if (left >= n) break;
       std::size_t best = left;
       const std::size_t right = left + 1;
-      if (right < n && heap_[right].key < heap_[left].key) best = right;
-      if (heap_[hole].key <= heap_[best].key) break;
-      std::swap(heap_[hole], heap_[best]);
+      if (right < n && rest_[right].key < rest_[left].key) best = right;
+      if (rest_[hole].key <= rest_[best].key) break;
+      std::swap(rest_[hole], rest_[best]);
       hole = best;
     }
     return out;
   }
 
  private:
-  std::vector<Stored> heap_;
+  Stored head_;
+  bool has_head_ = false;
+  std::vector<Stored> rest_;  // min-heap by key
+};
+
+/// Tag -> one stream per source rank, plus the count of messages queued
+/// under the tag.  When that count drops to zero the entry's map node goes
+/// to a spare list, streams (and their capacity) included, and the next
+/// new tag reuses it: the map holds only tags with queued messages, and a
+/// steady stream of fresh tags neither grows it nor allocates.
+template <typename Stream>
+class TagIndex {
+ public:
+  struct Entry {
+    std::vector<Stream> streams;  // indexed by source rank
+    std::size_t queued = 0;
+  };
+
+  explicit TagIndex(int num_sources)
+      : num_sources_(static_cast<std::size_t>(num_sources > 0 ? num_sources
+                                                               : 1)) {}
+
+  Entry* find(int tag) {
+    const auto it = map_.find(tag);
+    return it == map_.end() ? nullptr : &it->second;
+  }
+
+  /// The entry for `tag` with one more message counted as queued under
+  /// it, for the caller to push into; a new tag reuses a drained entry.
+  Entry& queue_one(int tag) {
+    Entry* entry = find(tag);
+    if (entry == nullptr && spare_.empty()) {
+      entry = &map_[tag];
+      entry->streams.resize(num_sources_);
+    } else if (entry == nullptr) {
+      auto node = std::move(spare_.back());
+      spare_.pop_back();
+      node.key() = tag;
+      entry = &map_.insert(std::move(node)).position->second;
+    }
+    ++entry->queued;
+    return *entry;
+  }
+
+  /// Accounts for one message taken from `entry` (the entry of `tag`),
+  /// recycling the entry once nothing is queued under the tag.
+  void took_one(int tag, Entry& entry) {
+    if (--entry.queued == 0) spare_.push_back(map_.extract(tag));
+  }
+
+  /// Tags with at least one queued message.
+  std::size_t live_tags() const noexcept { return map_.size(); }
+
+ private:
+  using Map = std::unordered_map<int, Entry>;
+  std::size_t num_sources_;
+  Map map_;
+  std::vector<typename Map::node_type> spare_;
 };
 
 }  // namespace detail_mailbox
@@ -107,37 +182,43 @@ class SimMailbox {
   /// `num_sources` = cluster size; streams are indexed by source rank.
   explicit SimMailbox(int num_sources,
                       DeliveryOrder order = DeliveryOrder::BySeq)
-      : num_sources_(num_sources > 0 ? num_sources : 1), order_(order) {}
+      : order_(order), by_tag_(num_sources) {}
 
   void push(net::Message msg) {
     const std::uint64_t arrival = next_arrival_++;
     const std::uint64_t key =
         order_ == DeliveryOrder::BySeq ? msg.seq : arrival;
-    streams_for(msg.tag)[static_cast<std::size_t>(msg.src)].push(
+    auto& entry = by_tag_.queue_one(msg.tag);
+    entry.streams[static_cast<std::size_t>(msg.src)].push(
         {std::move(msg), arrival, key});
   }
 
   bool take(net::Rank src, int tag, net::Message& out) {
-    auto it = by_tag_.find(tag);
-    if (it == by_tag_.end()) return false;
-    auto& stream = it->second[static_cast<std::size_t>(src)];
+    auto* entry = by_tag_.find(tag);
+    if (entry == nullptr) return false;
+    auto& stream = entry->streams[static_cast<std::size_t>(src)];
     if (stream.empty()) return false;
     out = stream.pop().msg;
+    by_tag_.took_one(tag, *entry);
     return true;
   }
 
   bool take_any(int tag, net::Message& out) {
-    auto it = by_tag_.find(tag);
-    if (it == by_tag_.end()) return false;
+    auto* entry = by_tag_.find(tag);
+    if (entry == nullptr) return false;
     detail_mailbox::SeqStream* best = nullptr;
-    for (auto& stream : it->second) {
+    for (auto& stream : entry->streams) {
       if (stream.empty()) continue;
       if (best == nullptr || wins(stream.front(), best->front())) best = &stream;
     }
     if (best == nullptr) return false;
     out = best->pop().msg;
+    by_tag_.took_one(tag, *entry);
     return true;
   }
+
+  /// Tags with at least one queued message (drained tags are recycled).
+  std::size_t live_tags() const noexcept { return by_tag_.live_tags(); }
 
  private:
   /// Cross-stream selection rule of the old linear scan: lowest key (seq in
@@ -148,16 +229,9 @@ class SimMailbox {
     return a.arrival < b.arrival;
   }
 
-  std::vector<detail_mailbox::SeqStream>& streams_for(int tag) {
-    auto [it, inserted] = by_tag_.try_emplace(tag);
-    if (inserted) it->second.resize(static_cast<std::size_t>(num_sources_));
-    return it->second;
-  }
-
-  int num_sources_;
   DeliveryOrder order_;
   std::uint64_t next_arrival_ = 0;
-  std::unordered_map<int, std::vector<detail_mailbox::SeqStream>> by_tag_;
+  detail_mailbox::TagIndex<detail_mailbox::SeqStream> by_tag_;
 };
 
 /// Thread-safe mailbox with delayed visibility for the real-thread backend:
@@ -169,16 +243,23 @@ class TimedMailbox {
 
   explicit TimedMailbox(int num_sources,
                         DeliveryOrder order = DeliveryOrder::BySeq)
-      : num_sources_(num_sources > 0 ? num_sources : 1), order_(order) {}
+      : order_(order), by_tag_(num_sources) {}
 
   void deliver(net::Message msg, Clock::time_point deliver_at) {
     {
       const std::lock_guard<std::mutex> lock(mutex_);
-      auto& stream = streams_for(msg.tag)[static_cast<std::size_t>(msg.src)];
+      auto& stream = by_tag_.queue_one(msg.tag)
+                         .streams[static_cast<std::size_t>(msg.src)];
       stream.pending.push_back({std::move(msg), next_arrival_++, deliver_at});
       std::push_heap(stream.pending.begin(), stream.pending.end(), later);
     }
     cv_.notify_all();
+  }
+
+  /// Tags with at least one queued message (drained tags are recycled).
+  std::size_t live_tags() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return by_tag_.live_tags();
   }
 
   std::optional<net::Message> try_take(net::Rank src, int tag) {
@@ -198,8 +279,8 @@ class TimedMailbox {
       if (auto msg = take_locked(src, tag, now)) return std::move(*msg);
       // The stream's pending heap top is the earliest maturity — no rescan.
       auto next_ready = Clock::time_point::max();
-      if (auto it = by_tag_.find(tag); it != by_tag_.end()) {
-        const auto& stream = it->second[static_cast<std::size_t>(src)];
+      if (const auto* entry = by_tag_.find(tag)) {
+        const auto& stream = entry->streams[static_cast<std::size_t>(src)];
         if (!stream.pending.empty())
           next_ready = stream.pending.front().deliver_at;
       }
@@ -213,8 +294,8 @@ class TimedMailbox {
       const auto now = Clock::now();
       if (auto msg = take_any_locked(tag, now)) return std::move(*msg);
       auto next_ready = Clock::time_point::max();
-      if (auto it = by_tag_.find(tag); it != by_tag_.end()) {
-        for (const auto& stream : it->second) {
+      if (const auto* entry = by_tag_.find(tag)) {
+        for (const auto& stream : entry->streams) {
           if (!stream.pending.empty() &&
               stream.pending.front().deliver_at < next_ready) {
             next_ready = stream.pending.front().deliver_at;
@@ -235,8 +316,8 @@ class TimedMailbox {
       if (auto msg = take_locked(src, tag, now)) return msg;
       if (now >= deadline) return std::nullopt;
       auto next_ready = deadline;
-      if (auto it = by_tag_.find(tag); it != by_tag_.end()) {
-        const auto& stream = it->second[static_cast<std::size_t>(src)];
+      if (const auto* entry = by_tag_.find(tag)) {
+        const auto& stream = entry->streams[static_cast<std::size_t>(src)];
         if (!stream.pending.empty() &&
             stream.pending.front().deliver_at < next_ready) {
           next_ready = stream.pending.front().deliver_at;
@@ -265,12 +346,6 @@ class TimedMailbox {
     std::vector<Timed> pending;       // min-heap by deliver_at
   };
 
-  std::vector<Stream>& streams_for(int tag) {
-    auto [it, inserted] = by_tag_.try_emplace(tag);
-    if (inserted) it->second.resize(static_cast<std::size_t>(num_sources_));
-    return it->second;
-  }
-
   /// Moves every matured message of `stream` into its ready heap.
   void promote(Stream& stream, Clock::time_point now) {
     while (!stream.pending.empty() &&
@@ -286,19 +361,21 @@ class TimedMailbox {
 
   std::optional<net::Message> take_locked(net::Rank src, int tag,
                                           Clock::time_point now) {
-    auto it = by_tag_.find(tag);
-    if (it == by_tag_.end()) return std::nullopt;
-    auto& stream = it->second[static_cast<std::size_t>(src)];
+    auto* entry = by_tag_.find(tag);
+    if (entry == nullptr) return std::nullopt;
+    auto& stream = entry->streams[static_cast<std::size_t>(src)];
     promote(stream, now);
     if (stream.ready.empty()) return std::nullopt;
-    return stream.ready.pop().msg;
+    net::Message msg = stream.ready.pop().msg;
+    by_tag_.took_one(tag, *entry);
+    return msg;
   }
 
   std::optional<net::Message> take_any_locked(int tag, Clock::time_point now) {
-    auto it = by_tag_.find(tag);
-    if (it == by_tag_.end()) return std::nullopt;
+    auto* entry = by_tag_.find(tag);
+    if (entry == nullptr) return std::nullopt;
     detail_mailbox::SeqStream* best = nullptr;
-    for (auto& stream : it->second) {
+    for (auto& stream : entry->streams) {
       promote(stream, now);
       if (stream.ready.empty()) continue;
       if (best == nullptr ||
@@ -309,7 +386,9 @@ class TimedMailbox {
       }
     }
     if (best == nullptr) return std::nullopt;
-    return best->pop().msg;
+    net::Message msg = best->pop().msg;
+    by_tag_.took_one(tag, *entry);
+    return msg;
   }
 
   void wait(std::unique_lock<std::mutex>& lock, Clock::time_point next_ready) {
@@ -320,12 +399,11 @@ class TimedMailbox {
     }
   }
 
-  int num_sources_;
   DeliveryOrder order_;
   std::mutex mutex_;
   std::condition_variable cv_;
   std::uint64_t next_arrival_ = 0;  // guarded by mutex_
-  std::unordered_map<int, std::vector<Stream>> by_tag_;  // guarded by mutex_
+  detail_mailbox::TagIndex<Stream> by_tag_;  // guarded by mutex_
 };
 
 }  // namespace specomp::runtime

@@ -13,12 +13,13 @@ using runtime::Phase;
 
 namespace {
 
-std::vector<double> decode_block(net::Message msg) {
+/// Copies a received block into `out`, reusing its capacity, and retires
+/// the payload buffer to the pool.
+void decode_into(net::Message& msg, std::vector<double>& out) {
   net::ByteReader reader(msg.payload);
   const std::span<const double> values = reader.read_span<double>();
-  std::vector<double> block(values.begin(), values.end());
+  out.assign(values.begin(), values.end());
   net::BufferPool::local().release(std::move(msg.payload));
-  return block;
 }
 
 }  // namespace
@@ -73,6 +74,7 @@ SpecEngine::SpecEngine(runtime::Communicator& comm, SyncIterativeApp& app,
   histories_.reserve(static_cast<std::size_t>(size_));
   for (int r = 0; r < size_; ++r) histories_.emplace_back(std::max<std::size_t>(bw, 1));
   outstanding_.assign(static_cast<std::size_t>(size_), 0);
+  oldest_spec_.assign(static_cast<std::size_t>(size_), -1);
 
   for (int r = 0; r < size_; ++r) {
     if (r == rank_) continue;
@@ -133,16 +135,14 @@ SpecStats SpecEngine::run(long iterations) {
 
     // 4. Resolve each peer's X_k(t): real message if delivered, else
     //    speculate (FW > 0) or block (FW = 0).
-    IterationRecord record;
-    record.t = t;
-    record.peers.resize(static_cast<std::size_t>(size_));
+    IterationRecord record = take_record(t);
     bool any_speculated = false;
     for (int k = 0; k < size_; ++k) {
       if (k == rank_) continue;
       auto& slot = record.peers[static_cast<std::size_t>(k)];
       net::Message msg;
       if (comm_.try_recv(k, tag_for(t), msg)) {
-        slot.block = decode_block(std::move(msg));
+        decode_into(msg, slot.block);
         // Record history only while no older speculation for this peer is
         // outstanding: a jitter-reordered early arrival must not run the
         // history past a record that a later replay will re-speculate.
@@ -154,16 +154,18 @@ SpecStats SpecEngine::run(long iterations) {
         continue;
       }
       if (fw_now_ == 0) {
-        slot.block = comm_.recv_doubles(k, tag_for(t));
+        msg = comm_.recv(k, tag_for(t));
+        decode_into(msg, slot.block);
         histories_[static_cast<std::size_t>(k)].record(t, slot.block);
         app_.install_peer(k, slot.block);
         continue;
       }
-      slot.block = speculate_block(k, t);
+      speculate_into(slot, k, t);
       slot.speculated = true;
       app_.install_peer(k, slot.block);
       ++record.unresolved;
-      ++outstanding_[static_cast<std::size_t>(k)];
+      if (outstanding_[static_cast<std::size_t>(k)]++ == 0)
+        oldest_spec_[static_cast<std::size_t>(k)] = t;
       ++stats_.blocks_speculated;
       metrics_.speculated.inc();
       any_speculated = true;
@@ -187,9 +189,7 @@ SpecStats SpecEngine::run(long iterations) {
     }
     comm_.timer().bump_iterations();
 
-    while (!window_.empty() && window_.front().unresolved == 0)
-      window_.pop_front();
-
+    retire_resolved();
     consult_policies(t);
   }
 
@@ -201,8 +201,7 @@ SpecStats SpecEngine::run(long iterations) {
     if (k == rank_) continue;
     while (outstanding_[static_cast<std::size_t>(k)] > 0) await_oldest(k);
   }
-  while (!window_.empty() && window_.front().unresolved == 0)
-    window_.pop_front();
+  retire_resolved();
   if (degraded_) {
     degraded_ = false;
     comm_.mark_degraded(false);
@@ -242,46 +241,35 @@ void SpecEngine::drain_pending() {
   // can deliver iteration t+1 before t, and resolving t+1 first would run
   // the peer's history ahead of the still-unresolved record t (breaking the
   // steps >= 1 invariant of speculation during a later replay).  Also never
-  // resolve while iterating the window — a replay rewrites records.
+  // resolve while iterating the window — a replay rewrites records.  Each
+  // round restarts from peer 0: resolving can advance local time, which
+  // lets earlier peers' blocks arrive, and taking them in this order is
+  // part of the deterministic schedule.
   for (;;) {
     int found_k = -1;
-    long found_s = -1;
     net::Message msg;
     for (int k = 0; k < size_ && found_k < 0; ++k) {
-      if (k == rank_) continue;
-      for (const auto& rec : window_) {
-        const auto& slot = rec.peers[static_cast<std::size_t>(k)];
-        if (slot.speculated && !slot.resolved) {
-          // Oldest outstanding speculation for this peer: take it or leave
-          // this peer alone this round.
-          if (comm_.try_recv(k, tag_for(rec.t), msg)) {
-            found_k = k;
-            found_s = rec.t;
-          }
-          break;
-        }
-      }
+      // Only the oldest outstanding speculation for a peer may resolve:
+      // take it or leave this peer alone this round.
+      if (k == rank_ || outstanding_[static_cast<std::size_t>(k)] == 0)
+        continue;
+      if (comm_.try_recv(k, tag_for(oldest_spec_[static_cast<std::size_t>(k)]),
+                         msg))
+        found_k = k;
     }
     if (found_k < 0) return;
-    // resolve_receipt consumes the values through a span, so decode in place
-    // instead of materialising a vector.
+    // Zero-copy: resolve_receipt reads the values straight out of the
+    // payload, which goes back to the pool once the receipt is handled.
     net::ByteReader reader(msg.payload);
-    resolve_receipt(found_k, found_s, reader.read_span<double>());
+    resolve_receipt(found_k, oldest_spec_[static_cast<std::size_t>(found_k)],
+                    reader.read_span<double>());
     net::BufferPool::local().release(std::move(msg.payload));
   }
 }
 
 bool SpecEngine::await_oldest(int k, double timeout_seconds) {
-  long s = -1;
-  for (const auto& rec : window_) {
-    const auto& slot = rec.peers[static_cast<std::size_t>(k)];
-    if (slot.speculated && !slot.resolved) {
-      s = rec.t;
-      break;
-    }
-  }
-  SPEC_ASSERT(s >= 0);
-  // Zero-copy: resolve_receipt reads the values straight out of the payload.
+  SPEC_ASSERT(outstanding_[static_cast<std::size_t>(k)] > 0);
+  const long s = oldest_spec_[static_cast<std::size_t>(k)];
   net::Message msg;
   if (timeout_seconds < 0.0) {
     msg = comm_.recv(k, tag_for(s));
@@ -297,10 +285,10 @@ bool SpecEngine::await_oldest(int k, double timeout_seconds) {
 void SpecEngine::resolve_receipt(int k, long s, std::span<const double> actual) {
   histories_[static_cast<std::size_t>(k)].record(s, actual);
 
-  IterationRecord* rec = find_record(s);
-  SPEC_ASSERT(rec != nullptr);
-  auto& slot = rec->peers[static_cast<std::size_t>(k)];
+  IterationRecord& rec = record_at(s);
+  auto& slot = rec.peers[static_cast<std::size_t>(k)];
   SPEC_ASSERT(slot.speculated && !slot.resolved);
+  SPEC_ASSERT(s == oldest_spec_[static_cast<std::size_t>(k)]);
 
   charge_check(k);
   comm_.trace_causal(des::CausalKind::Check, k, s);
@@ -315,8 +303,17 @@ void SpecEngine::resolve_receipt(int k, long s, std::span<const double> actual) 
   // From here on the record holds the real block (replays must use it).
   slot.block.assign(actual.begin(), actual.end());
   slot.resolved = true;
-  --rec->unresolved;
-  --outstanding_[static_cast<std::size_t>(k)];
+  --rec.unresolved;
+  if (--outstanding_[static_cast<std::size_t>(k)] > 0) {
+    // Speculations resolve oldest-first, so the next oldest lies later in
+    // the window; each record is stepped over at most once per peer.
+    long next = s + 1;
+    for (;; ++next) {
+      const auto& later = record_at(next).peers[static_cast<std::size_t>(k)];
+      if (later.speculated && !later.resolved) break;
+    }
+    oldest_spec_[static_cast<std::size_t>(k)] = next;
+  }
 
   if (!acceptable) {
     comm_.trace_causal(des::CausalKind::CheckFail, k, s);
@@ -338,8 +335,7 @@ void SpecEngine::resolve_receipt(int k, long s, std::span<const double> actual) 
     }
   }
 
-  while (!window_.empty() && window_.front().unresolved == 0)
-    window_.pop_front();
+  retire_resolved();
 }
 
 void SpecEngine::rollback_and_replay(long s) {
@@ -354,15 +350,8 @@ void SpecEngine::rollback_and_replay(long s) {
   cascade_depth_now_ = s <= cascade_span_end_ ? cascade_depth_now_ + 1 : 1;
   stats_.max_cascade_depth =
       std::max(stats_.max_cascade_depth, cascade_depth_now_);
-  std::size_t start = window_.size();
-  for (std::size_t i = 0; i < window_.size(); ++i) {
-    if (window_[i].t == s) {
-      start = i;
-      break;
-    }
-  }
-  SPEC_ASSERT(start < window_.size());
-  SPEC_ASSERT(!window_[start].state_before.empty());
+  SPEC_ASSERT(!record_at(s).state_before.empty());
+  const auto start = static_cast<std::size_t>(s - window_.front().t);
   app_.restore_state(window_[start].state_before);
 
   for (std::size_t j = start; j < window_.size(); ++j) {
@@ -375,7 +364,7 @@ void SpecEngine::rollback_and_replay(long s) {
       auto& slot = rec.peers[static_cast<std::size_t>(k)];
       if (slot.speculated && !slot.resolved) {
         // Still unverified: re-speculate with the freshest history.
-        slot.block = speculate_block(k, rec.t);
+        speculate_into(slot, k, rec.t);
         any_speculated = true;
       }
       app_.install_peer(k, slot.block);
@@ -391,23 +380,53 @@ void SpecEngine::rollback_and_replay(long s) {
     cascade_span_end_ = std::max(cascade_span_end_, window_.back().t);
 }
 
-SpecEngine::IterationRecord* SpecEngine::find_record(long t) {
-  for (auto& rec : window_)
-    if (rec.t == t) return &rec;
-  return nullptr;
+SpecEngine::IterationRecord SpecEngine::take_record(long t) {
+  IterationRecord rec;
+  if (spare_records_.empty()) {
+    rec.peers.resize(static_cast<std::size_t>(size_));
+  } else {
+    rec = std::move(spare_records_.back());
+    spare_records_.pop_back();
+    rec.state_before.clear();
+    for (auto& slot : rec.peers) {
+      slot.speculated = false;
+      slot.resolved = false;
+      slot.predicted_from = PeerSlot::kNotPredicted;
+    }
+  }
+  rec.t = t;
+  rec.unresolved = 0;
+  return rec;
 }
 
-std::vector<double> SpecEngine::speculate_block(int k, long t) {
+void SpecEngine::retire_resolved() {
+  while (!window_.empty() && window_.front().unresolved == 0) {
+    spare_records_.push_back(std::move(window_.front()));
+    window_.pop_front();
+  }
+}
+
+SpecEngine::IterationRecord& SpecEngine::record_at(long t) {
+  SPEC_ASSERT(!window_.empty() && t >= window_.front().t);
+  const auto i = static_cast<std::size_t>(t - window_.front().t);
+  SPEC_ASSERT(i < window_.size() && window_[i].t == t);
+  return window_[i];
+}
+
+void SpecEngine::speculate_into(PeerSlot& slot, int k, long t) {
   auto& history = histories_[static_cast<std::size_t>(k)];
   SPEC_ASSERT(!history.empty());
   const int steps = static_cast<int>(t - history.newest_iteration());
   SPEC_ASSERT(steps >= 1);
-  std::vector<double> block = config_.speculator->predict(history, steps);
+  if (slot.predicted_from != history.version()) {
+    config_.speculator->predict(history, steps, slot.block);
+    slot.predicted_from = history.version();
+  }
+  // Charged either way: the skip saves host time, not the modelled work.
   comm_.compute(config_.speculator->ops_per_variable() *
-                    static_cast<double>(block.size()),
+                    static_cast<double>(slot.block.size()),
                 Phase::Speculate);
   comm_.trace_causal(des::CausalKind::Speculate, k, t);
-  return block;
 }
 
 void SpecEngine::charge_check(int k) {

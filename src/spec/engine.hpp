@@ -47,6 +47,7 @@
 // bounding the accepted error; only the wait policy changes.
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <optional>
@@ -163,10 +164,17 @@ class SpecEngine {
   struct PeerSlot {
     bool speculated = false;
     bool resolved = false;
+    /// predicted_from of a slot not yet predicted since take_record.
+    static constexpr std::uint64_t kNotPredicted = ~std::uint64_t{0};
+    /// History::version() of the peer's history the speculated block was
+    /// predicted from; a replay re-predicts only once the history moved on.
+    std::uint64_t predicted_from = kNotPredicted;
     /// The block installed for this iteration: the speculated values while
     /// unresolved, replaced by the actual values on receipt (replays use it).
     std::vector<double> block;
   };
+  /// Records are recycled (see take_record/retire_resolved), so in steady
+  /// state every block and the peer vector keep their capacity.
   struct IterationRecord {
     long t = 0;
     std::vector<double> state_before;     // app state before compute_step
@@ -177,9 +185,9 @@ class SpecEngine {
   int tag_for(long t) const { return config_.tag_base + static_cast<int>(t); }
 
   void drain_pending();
-  /// Handles receipt of peer `k`'s actual block for iteration `s`: records
-  /// history, checks the speculation it answers, corrects/replays on
-  /// failure.  `t_next` is the iteration about to be computed.
+  /// Handles receipt of peer `k`'s actual block for iteration `s`, the
+  /// peer's oldest outstanding speculation: records history, checks the
+  /// speculation it answers, corrects/replays on failure.
   void resolve_receipt(int k, long s, std::span<const double> actual);
   /// Waits until the oldest outstanding speculation for peer k resolves.
   /// A negative timeout blocks; otherwise gives up after `timeout_seconds`
@@ -196,8 +204,18 @@ class SpecEngine {
   /// recently computed iteration.
   void rollback_and_replay(long s);
 
-  IterationRecord* find_record(long t);
-  std::vector<double> speculate_block(int k, long t);
+  /// A cleared record for iteration t, recycled from spare_records_ when
+  /// one is available.
+  IterationRecord take_record(long t);
+  /// Pops fully resolved records off the window's front into the spares.
+  void retire_resolved();
+  /// The window's record of iteration t (records are contiguous in t).
+  IterationRecord& record_at(long t);
+  /// Speculates peer k's block for iteration t into slot.block and charges
+  /// Phase::Speculate.  A block the slot already predicted from the peer's
+  /// current history is kept rather than predicted again (a replay): predict
+  /// is a pure function of (history, steps), so the values would not change.
+  void speculate_into(PeerSlot& slot, int k, long t);
   void charge_check(int k);
   /// End-of-iteration control step: feeds the window and θ policies their
   /// per-iteration observations (including the live DistSnapshot and the
@@ -212,7 +230,10 @@ class SpecEngine {
   int size_;
   std::vector<History> histories_;          // indexed by rank (self unused)
   std::vector<int> outstanding_;            // unresolved speculations per peer
+  std::vector<long> oldest_spec_;           // per peer, oldest unresolved t
+                                            // (valid while outstanding_ > 0)
   std::deque<IterationRecord> window_;      // records with unresolved > 0 kept
+  std::vector<IterationRecord> spare_records_;  // retired, for take_record
   long next_compute_ = 0;                   // iteration about to be computed
   int fw_now_ = 0;                          // window in effect
   bool degraded_ = false;                   // currently past FW on a peer

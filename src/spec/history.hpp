@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -36,18 +37,30 @@ class History {
 
   /// Records the actual block for `iteration`.  Out-of-order receipts older
   /// than the newest entry are dropped (they cannot improve extrapolation).
+  /// Once the window is full the evicted entry's storage holds the new block.
   void record(long iteration, std::span<const double> block) {
     if (iteration <= newest_iteration()) return;
-    entries_.push(Entry{iteration, std::vector<double>(block.begin(), block.end())});
+    Entry& entry = entries_.push_slot();
+    entry.iteration = iteration;
+    entry.block.assign(block.begin(), block.end());
+    ++version_;
   }
+
+  /// Changes whenever the entries do (every accepted record() and clear()),
+  /// so a prediction made at one version is still valid at the same one.
+  std::uint64_t version() const noexcept { return version_; }
 
   /// Entry `age` steps back from the newest (age 0 = newest).
   const Entry& back(std::size_t age = 0) const { return entries_.back(age); }
 
-  void clear() noexcept { entries_.clear(); }
+  void clear() noexcept {
+    entries_.clear();
+    ++version_;
+  }
 
  private:
   support::RingBuffer<Entry> entries_;
+  std::uint64_t version_ = 0;
 };
 
 }  // namespace specomp::spec

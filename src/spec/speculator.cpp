@@ -7,19 +7,23 @@
 
 namespace specomp::spec {
 
-std::vector<double> HoldLastSpeculator::predict(const History& history,
-                                                int steps) const {
+void HoldLastSpeculator::predict(const History& history, int steps,
+                                 std::vector<double>& out) const {
   SPEC_EXPECTS(!history.empty());
   SPEC_EXPECTS(steps >= 1);
-  return history.back(0).block;
+  const auto& newest = history.back(0).block;
+  out.assign(newest.begin(), newest.end());
 }
 
-std::vector<double> LinearSpeculator::predict(const History& history,
-                                              int steps) const {
+void LinearSpeculator::predict(const History& history, int steps,
+                               std::vector<double>& out) const {
   SPEC_EXPECTS(!history.empty());
   SPEC_EXPECTS(steps >= 1);
   const auto& newest = history.back(0);
-  if (history.size() < 2) return newest.block;  // degrade to hold-last
+  if (history.size() < 2) {  // degrade to hold-last
+    out.assign(newest.block.begin(), newest.block.end());
+    return;
+  }
   const auto& prev = history.back(1);
   SPEC_ASSERT(prev.block.size() == newest.block.size());
   // Slope per iteration accounts for a possible gap between history entries
@@ -27,20 +31,22 @@ std::vector<double> LinearSpeculator::predict(const History& history,
   const double gap =
       static_cast<double>(newest.iteration - prev.iteration);
   SPEC_ASSERT(gap >= 1.0);
-  std::vector<double> out(newest.block.size());
+  out.resize(newest.block.size());
   const double s = static_cast<double>(steps);
   for (std::size_t i = 0; i < out.size(); ++i) {
     const double slope = (newest.block[i] - prev.block[i]) / gap;
     out[i] = newest.block[i] + s * slope;
   }
-  return out;
 }
 
-std::vector<double> QuadraticSpeculator::predict(const History& history,
-                                                 int steps) const {
+void QuadraticSpeculator::predict(const History& history, int steps,
+                                  std::vector<double>& out) const {
   SPEC_EXPECTS(!history.empty());
   SPEC_EXPECTS(steps >= 1);
-  if (history.size() < 3) return LinearSpeculator{}.predict(history, steps);
+  if (history.size() < 3) {
+    LinearSpeculator{}.predict(history, steps, out);
+    return;
+  }
   const auto& x0 = history.back(0);  // newest
   const auto& x1 = history.back(1);
   const auto& x2 = history.back(2);
@@ -50,13 +56,12 @@ std::vector<double> QuadraticSpeculator::predict(const History& history,
   // with gaps this is an approximation, consistent with the paper's
   // "examining the history of the variable".
   const double s = static_cast<double>(steps);
-  std::vector<double> out(x0.block.size());
+  out.resize(x0.block.size());
   for (std::size_t i = 0; i < out.size(); ++i) {
     const double d1 = x0.block[i] - x1.block[i];
     const double d2 = x0.block[i] - 2.0 * x1.block[i] + x2.block[i];
     out[i] = x0.block[i] + s * d1 + 0.5 * s * (s + 1.0) * d2;
   }
-  return out;
 }
 
 WeightedHistorySpeculator::WeightedHistorySpeculator(std::vector<double> weights)
@@ -64,8 +69,8 @@ WeightedHistorySpeculator::WeightedHistorySpeculator(std::vector<double> weights
   SPEC_EXPECTS(!weights_.empty());
 }
 
-std::vector<double> WeightedHistorySpeculator::predict(const History& history,
-                                                       int steps) const {
+void WeightedHistorySpeculator::predict(const History& history, int steps,
+                                        std::vector<double>& out) const {
   SPEC_EXPECTS(!history.empty());
   SPEC_EXPECTS(steps >= 1);
   const std::size_t terms = std::min(weights_.size(), history.size());
@@ -73,14 +78,13 @@ std::vector<double> WeightedHistorySpeculator::predict(const History& history,
   double wsum = 0.0;
   for (std::size_t i = 0; i < terms; ++i) wsum += weights_[i];
   SPEC_EXPECTS(wsum != 0.0);
-  std::vector<double> out(history.back(0).block.size(), 0.0);
+  out.assign(history.back(0).block.size(), 0.0);
   for (std::size_t i = 0; i < terms; ++i) {
     const auto& entry = history.back(i);
     SPEC_ASSERT(entry.block.size() == out.size());
     const double w = weights_[i] / wsum;
     for (std::size_t v = 0; v < out.size(); ++v) out[v] += w * entry.block[v];
   }
-  return out;
 }
 
 std::shared_ptr<Speculator> make_speculator(std::string_view name) {

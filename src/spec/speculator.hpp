@@ -28,10 +28,18 @@ class Speculator {
  public:
   virtual ~Speculator() = default;
 
-  /// Predicts the block `steps` (>= 1) iterations after history's newest
-  /// entry.  Requires a non-empty history; uses at most backward_window()
-  /// entries (gracefully degrades when fewer are available).
-  virtual std::vector<double> predict(const History& history, int steps) const = 0;
+  /// Writes the predicted block `steps` (>= 1) iterations after history's
+  /// newest entry into `out`, resizing it to the block size; `out` may hold
+  /// a block of any size on entry (its capacity is reused) and must not be
+  /// storage of `history`.  Requires a non-empty history; uses at most
+  /// backward_window() entries (gracefully degrades when fewer are
+  /// available).
+  ///
+  /// Contract: the values written are a pure function of (history, steps).
+  /// The engine relies on it to skip re-speculation during replay when the
+  /// peer's history has not changed since the slot was predicted.
+  virtual void predict(const History& history, int steps,
+                       std::vector<double>& out) const = 0;
 
   /// BW: maximum number of past values consulted.
   virtual std::size_t backward_window() const noexcept = 0;
@@ -42,7 +50,8 @@ class Speculator {
 
 class HoldLastSpeculator final : public Speculator {
  public:
-  std::vector<double> predict(const History& history, int steps) const override;
+  void predict(const History& history, int steps,
+               std::vector<double>& out) const override;
   std::size_t backward_window() const noexcept override { return 1; }
   double ops_per_variable() const noexcept override { return 1.0; }
   std::string_view name() const noexcept override { return "hold-last"; }
@@ -50,7 +59,8 @@ class HoldLastSpeculator final : public Speculator {
 
 class LinearSpeculator final : public Speculator {
  public:
-  std::vector<double> predict(const History& history, int steps) const override;
+  void predict(const History& history, int steps,
+               std::vector<double>& out) const override;
   std::size_t backward_window() const noexcept override { return 2; }
   double ops_per_variable() const noexcept override { return 3.0; }
   std::string_view name() const noexcept override { return "linear"; }
@@ -58,7 +68,8 @@ class LinearSpeculator final : public Speculator {
 
 class QuadraticSpeculator final : public Speculator {
  public:
-  std::vector<double> predict(const History& history, int steps) const override;
+  void predict(const History& history, int steps,
+               std::vector<double>& out) const override;
   std::size_t backward_window() const noexcept override { return 3; }
   double ops_per_variable() const noexcept override { return 8.0; }
   std::string_view name() const noexcept override { return "quadratic"; }
@@ -71,7 +82,8 @@ class QuadraticSpeculator final : public Speculator {
 class WeightedHistorySpeculator final : public Speculator {
  public:
   explicit WeightedHistorySpeculator(std::vector<double> weights);
-  std::vector<double> predict(const History& history, int steps) const override;
+  void predict(const History& history, int steps,
+               std::vector<double>& out) const override;
   std::size_t backward_window() const noexcept override { return weights_.size(); }
   double ops_per_variable() const noexcept override {
     return 2.0 * static_cast<double>(weights_.size());

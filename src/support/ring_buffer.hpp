@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "support/contracts.hpp"
@@ -24,13 +25,16 @@ class RingBuffer {
   bool full() const noexcept { return slots_.size() == capacity_; }
 
   /// Appends a value; evicts the oldest value when full.
-  void push(T value) {
-    if (slots_.size() < capacity_) {
-      slots_.push_back(std::move(value));
-    } else {
-      slots_[head_] = std::move(value);
-      head_ = (head_ + 1) % capacity_;
-    }
+  void push(T value) { push_slot() = std::move(value); }
+
+  /// Appends an element for the caller to overwrite and returns it.  When
+  /// full this is the evicted oldest element, still holding its old value,
+  /// so its storage (a vector's capacity, say) is reused instead of freed.
+  T& push_slot() {
+    if (slots_.size() < capacity_) return slots_.emplace_back();
+    T& slot = slots_[head_];
+    head_ = (head_ + 1) % capacity_;
+    return slot;
   }
 
   /// Element `age` steps back from the most recent: back(0) is the newest,

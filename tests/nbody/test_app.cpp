@@ -30,11 +30,14 @@ TEST(KinematicSpeculatorTest, ImplementsEquation10) {
   // One particle: r = (1,2,3), v = (0.5, 0, -0.5).
   h.record(3, std::vector<double>{1, 2, 3, 0.5, 0, -0.5});
   KinematicSpeculator spec(0.1);
-  const auto one = spec.predict(h, 1);
+  std::vector<double> one;
+  spec.predict(h, 1, one);
+  ASSERT_EQ(one.size(), 6u);
   EXPECT_DOUBLE_EQ(one[0], 1.05);
   EXPECT_DOUBLE_EQ(one[2], 2.95);
   EXPECT_DOUBLE_EQ(one[3], 0.5);  // velocity held
-  const auto three = spec.predict(h, 3);
+  std::vector<double> three;
+  spec.predict(h, 3, three);
   EXPECT_DOUBLE_EQ(three[0], 1.15);  // horizon scales with steps
 }
 

@@ -1,5 +1,5 @@
 // Payload-buffer pool: recycled vectors keep their capacity, the pool is
-// bounded, and empty buffers are not worth pooling.
+// bounded in bytes, and empty buffers are not worth pooling.
 #include "net/buffer_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -37,9 +37,25 @@ TEST(BufferPool, IgnoresCapacityFreeBuffers) {
 
 TEST(BufferPool, IsBounded) {
   BufferPool pool;
-  for (std::size_t i = 0; i < 4 * BufferPool::kMaxPooled; ++i)
-    pool.release(std::vector<std::byte>(64));
-  EXPECT_EQ(pool.pooled(), BufferPool::kMaxPooled);
+  constexpr std::size_t kSize = 64 * 1024;
+  constexpr std::size_t kFit = BufferPool::kMaxPooledBytes / kSize;
+  for (std::size_t i = 0; i < 4 * kFit; ++i)
+    pool.release(std::vector<std::byte>(kSize));
+  EXPECT_EQ(pool.pooled(), kFit);
+  EXPECT_LE(pool.pooled_bytes(), BufferPool::kMaxPooledBytes);
+}
+
+TEST(BufferPool, BudgetIsInBytesNotBuffers) {
+  BufferPool pool;
+  // A p = 64 rank's burst of small payloads fits whole...
+  for (int i = 0; i < 4 * 63; ++i) pool.release(std::vector<std::byte>(1600));
+  EXPECT_EQ(pool.pooled(), 4u * 63u);
+  // ...while one buffer larger than the whole budget is never kept.
+  pool.release(std::vector<std::byte>(BufferPool::kMaxPooledBytes + 1));
+  EXPECT_EQ(pool.pooled(), 4u * 63u);
+  const std::size_t before = pool.pooled_bytes();
+  const std::vector<std::byte> reused = pool.acquire();
+  EXPECT_EQ(pool.pooled_bytes(), before - reused.capacity());
 }
 
 TEST(BufferPool, ThreadLocalInstanceIsStable) {

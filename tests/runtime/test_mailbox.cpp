@@ -80,6 +80,62 @@ TEST(SimMailbox, TakeAnyBreaksSeqTiesByArrivalOrder) {
   }
 }
 
+// Iterating workloads use a fresh tag per iteration.  A drained tag must
+// not stay behind in the index, or the mailbox grows with every iteration.
+TEST(SimMailbox, DrainedTagsAreNotRetained) {
+  constexpr int kTags = 50;
+  SimMailbox box(3);
+  net::Message out;
+  for (int tag = 0; tag < kTags; ++tag) {
+    box.push(make_msg(1, 1000 + tag, 2 * static_cast<std::uint64_t>(tag)));
+    box.push(make_msg(2, 1000 + tag, 2 * static_cast<std::uint64_t>(tag)));
+    box.push(make_msg(1, 1000 + tag, 2 * static_cast<std::uint64_t>(tag) + 1));
+    EXPECT_EQ(box.live_tags(), 1u);
+    ASSERT_TRUE(box.take(1, 1000 + tag, out));
+    ASSERT_TRUE(box.take_any(1000 + tag, out));
+    EXPECT_EQ(box.live_tags(), 1u);  // one message still queued
+    ASSERT_TRUE(box.take(1, 1000 + tag, out));
+    EXPECT_FALSE(box.take_any(1000 + tag, out));
+  }
+  EXPECT_EQ(box.live_tags(), 0u);
+}
+
+// A recycled tag entry must behave like a fresh one: order and isolation
+// hold for a tag that reuses the storage of a drained one.
+TEST(SimMailbox, RecycledTagKeepsOrderAndIsolation) {
+  SimMailbox box(2);
+  net::Message out;
+  box.push(make_msg(0, 1, 0));
+  ASSERT_TRUE(box.take(0, 1, out));
+  EXPECT_EQ(box.live_tags(), 0u);
+  for (const std::uint64_t seq : {3u, 1u, 2u}) box.push(make_msg(0, 2, seq));
+  box.push(make_msg(1, 2, 0));
+  EXPECT_FALSE(box.take(0, 1, out));  // the drained tag stays empty
+  ASSERT_TRUE(box.take_any(2, out));
+  EXPECT_EQ(out.src, 1);
+  for (const std::uint64_t want : {1u, 2u, 3u}) {
+    ASSERT_TRUE(box.take(0, 2, out));
+    EXPECT_EQ(out.seq, want);
+  }
+  EXPECT_EQ(box.live_tags(), 0u);
+}
+
+TEST(TimedMailbox, DrainedTagsAreNotRetained) {
+  constexpr int kTags = 50;
+  TimedMailbox box(3);
+  const auto now = TimedMailbox::Clock::now();
+  for (int tag = 0; tag < kTags; ++tag) {
+    box.deliver(make_msg(1, 1000 + tag, 2 * static_cast<std::uint64_t>(tag)), now);
+    box.deliver(make_msg(2, 1000 + tag, 2 * static_cast<std::uint64_t>(tag)), now);
+    EXPECT_EQ(box.live_tags(), 1u);
+    EXPECT_EQ(box.take_blocking(1, 1000 + tag).src, 1);
+    EXPECT_EQ(box.live_tags(), 1u);
+    EXPECT_EQ(box.take_blocking_any(1000 + tag).src, 2);
+    EXPECT_FALSE(box.try_take_any(1000 + tag).has_value());
+  }
+  EXPECT_EQ(box.live_tags(), 0u);
+}
+
 TEST(TimedMailbox, MessageInvisibleUntilDeliveryTime) {
   TimedMailbox box(1);
   const auto now = TimedMailbox::Clock::now();

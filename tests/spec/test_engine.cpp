@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <compare>
+#include <cstdint>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "runtime/sim_comm.hpp"
@@ -235,6 +239,112 @@ TEST(SpecEngine, HoldLastSpeculatorWorksToo) {
   // hold-last always misses by |drift| on an affine signal.
   for (const auto& st : run.stats)
     EXPECT_NEAR(st.error.max(), 0.5, 1e-9);
+}
+
+/// Forwards to a real speculator and logs what each predict call was asked:
+/// which history, at which version, how many steps ahead.  A repeated
+/// triple is a recomputation: predict is a pure function of (history,
+/// steps), so it would write the same values again.
+class CountingSpeculator final : public Speculator {
+ public:
+  struct Call {
+    const History* history;
+    std::uint64_t version;
+    int steps;
+    auto operator<=>(const Call&) const = default;
+  };
+
+  void predict(const History& history, int steps,
+               std::vector<double>& out) const override {
+    calls.push_back({&history, history.version(), steps});
+    inner_.predict(history, steps, out);
+  }
+  std::size_t backward_window() const noexcept override {
+    return inner_.backward_window();
+  }
+  double ops_per_variable() const noexcept override {
+    return inner_.ops_per_variable();
+  }
+  std::string_view name() const noexcept override { return inner_.name(); }
+
+  mutable std::vector<Call> calls;
+
+ private:
+  LinearSpeculator inner_;
+};
+
+TEST(SpecEngine, ReplayPredictsOnlyWhenPeerHistoryAdvanced) {
+  // θ = 0 with coupling rejects every imperfect speculation, FW = 3 keeps
+  // several iterations in flight and jitter staggers the receipts, so
+  // replays re-speculate slots both for peers whose history moved on and
+  // for peers whose history did not.
+  constexpr int kRanks = 4;
+  constexpr long kIterations = 14;
+  auto run = [&](std::shared_ptr<Speculator> speculator) {
+    SimConfig config;
+    config.cluster = Cluster::homogeneous(kRanks, 1e4);
+    config.channel.bandwidth_bytes_per_sec = 1e5;
+    config.channel.extra_delay =
+        std::make_shared<net::ExponentialJitter>(des::SimTime::millis(20));
+    config.send_sw_time = des::SimTime::zero();
+    config.record_trace = true;
+    ToyRun out;
+    out.finals.resize(kRanks);
+    out.stats.resize(kRanks);
+    out.sim = runtime::run_simulated(config, [&](Communicator& comm) {
+      ToyApp app(comm.rank(), kRanks, 0.02, 0.5);
+      EngineConfig engine_config;
+      engine_config.forward_window = 3;
+      engine_config.threshold = 0.0;
+      engine_config.speculator = speculator;
+      SpecEngine engine(comm, app, engine_config,
+                        ToyApp::initial_blocks(kRanks));
+      out.stats[static_cast<std::size_t>(comm.rank())] =
+          engine.run(kIterations);
+      out.finals[static_cast<std::size_t>(comm.rank())] = app.value();
+    });
+    return out;
+  };
+
+  const auto counting = std::make_shared<CountingSpeculator>();
+  const ToyRun counted = run(counting);
+  const ToyRun plain = run(std::make_shared<LinearSpeculator>());
+
+  std::uint64_t speculated = 0;
+  std::uint64_t replayed = 0;
+  for (const auto& st : counted.stats) {
+    speculated += st.blocks_speculated;
+    replayed += st.replayed_iterations;
+  }
+  ASSERT_GT(replayed, 0u);
+
+  // Every speculation charge still happens (virtual time and traces keep
+  // them), but identical predictions are never recomputed...
+  std::uint64_t speculate_events = 0;
+  for (const auto& ev : counted.sim.trace.causal())
+    if (ev.kind == des::CausalKind::Speculate) ++speculate_events;
+  std::vector<CountingSpeculator::Call> calls = counting->calls;
+  std::sort(calls.begin(), calls.end());
+  EXPECT_EQ(std::adjacent_find(calls.begin(), calls.end()), calls.end());
+  // ...while every fresh speculation and every replay whose peer history
+  // advanced still predicts, and some replays were skipped.
+  EXPECT_GE(calls.size(), speculated);
+  EXPECT_GT(calls.size(), speculated) << "no replay re-predicted";
+  EXPECT_LT(calls.size(), speculate_events) << "no replay was skipped";
+
+  // The skip is invisible in results: same values, same statistics and the
+  // same trace as a run through the plain speculator.
+  for (int r = 0; r < kRanks; ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    EXPECT_EQ(counted.finals[i], plain.finals[i]);
+    EXPECT_EQ(counted.stats[i].blocks_speculated,
+              plain.stats[i].blocks_speculated);
+    EXPECT_EQ(counted.stats[i].rollbacks, plain.stats[i].rollbacks);
+    EXPECT_EQ(counted.stats[i].replayed_iterations,
+              plain.stats[i].replayed_iterations);
+  }
+  EXPECT_EQ(counted.sim.makespan_seconds, plain.sim.makespan_seconds);
+  EXPECT_EQ(counted.sim.trace.causal().size(), plain.sim.trace.causal().size());
 }
 
 TEST(SpecEngineDeath, MissingSpeculatorAborts) {
