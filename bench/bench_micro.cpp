@@ -251,7 +251,7 @@ BENCHMARK(BM_SharedMediumPost);
 /// before Initialize().
 bool is_obs_flag(std::string_view arg) {
   for (const std::string_view name :
-       {"--metrics-out", "--trace-out", "--report-out", "--csv-out"}) {
+       {"--trace-out", "--report-out", "--csv-out"}) {
     if (arg == name || (arg.size() > name.size() && arg.starts_with(name) &&
                         arg[name.size()] == '=')) {
       return true;

@@ -238,12 +238,7 @@ int main(int argc, char** argv) {
   artifacts.add_entry("theta_policy", obs::Json(theta_policy_arg));
   if (fault != nullptr) {
     artifacts.add_entry("fault_plan", obs::Json(fault_spec));
-    artifacts.add_entry("fault_injected_drops",
-                        obs::Json(fault_total.injected_drops));
-    artifacts.add_entry("fault_retransmits",
-                        obs::Json(fault_total.retransmits));
-    artifacts.add_entry("fault_duplicates_suppressed",
-                        obs::Json(fault_total.duplicates_suppressed));
+    artifacts.add_entry("faults", obs::fault_stats_to_json(fault_total));
     artifacts.add_entry("degraded_entries", obs::Json(degraded_entries));
     artifacts.add_entry("degraded_iterations",
                         obs::Json(degraded_iterations));

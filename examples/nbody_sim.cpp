@@ -278,6 +278,8 @@ int main(int argc, char** argv) {
   report.fill_spec(run.spec);
   report.fill_channel(run.sim.channel_stats);
   report.fill_dists(run.sim.dists);
+  report.fill_des(run.sim.kernel_stats);
+  report.fill_faults(s.sim.fault.get(), run.sim.fault_stats);
   report.extra.set("bodies", obs::Json(s.body.n));
   report.extra.set("force_kernel",
                    obs::Json(std::string(kernels::force_kernel_name(
@@ -299,18 +301,7 @@ int main(int argc, char** argv) {
                    obs::Json(std::fabs(after.total_energy() - before.total_energy()) /
                              std::fabs(before.total_energy())));
   if (s.sim.fault != nullptr) {
-    const runtime::FaultStats& fs = run.sim.fault_stats;
     report.extra.set("fault_plan", obs::Json(fault_spec));
-    report.extra.set("fault_injected_drops", obs::Json(fs.injected_drops));
-    report.extra.set("fault_retransmits", obs::Json(fs.retransmits));
-    report.extra.set("fault_messages_lost", obs::Json(fs.messages_lost));
-    report.extra.set("fault_injected_duplicates",
-                     obs::Json(fs.injected_duplicates));
-    report.extra.set("fault_duplicates_suppressed",
-                     obs::Json(fs.duplicates_suppressed));
-    report.extra.set("fault_injected_reorders",
-                     obs::Json(fs.injected_reorders));
-    report.extra.set("fault_crashed_ranks", obs::Json(fs.crashed_ranks));
     report.extra.set("degraded_entries", obs::Json(run.spec.degraded_entries));
     report.extra.set("degraded_iterations",
                      obs::Json(run.spec.degraded_iterations));

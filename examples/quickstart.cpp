@@ -127,6 +127,7 @@ int main(int argc, char** argv) {
   report.makespan_seconds = with_spec;
   report.fill_phases(speculative.timers, 100);
   report.fill_channel(speculative.channel_stats);
+  report.fill_des(speculative.kernel_stats);
   report.extra.set("baseline_makespan_seconds", obs::Json(without));
   artifacts.set_run_report(report);
   if (artifacts.wants_trace()) artifacts.set_trace(speculative.trace, 8);

@@ -6,7 +6,6 @@
 #include "nbody/kernels/bh_tree.hpp"
 #include "nbody/kernels/kernel.hpp"
 #include "nbody/kernels/simd.hpp"
-#include "obs/metrics.hpp"
 #include "support/contracts.hpp"
 #include "support/thread_pool.hpp"
 
@@ -32,34 +31,6 @@ SoaScratch& scratch() {
   return s;
 }
 
-/// Metric refs are captured at first kernel use; as with the PR-1
-/// instrumentation, enable collection (--metrics-out does) before the first
-/// force computation or the refs stay null and updates cost one branch.
-struct KernelMetrics {
-  obs::CounterRef calls_scalar;
-  obs::CounterRef calls_tiled;
-  obs::CounterRef calls_tiled_mt;
-  obs::CounterRef calls_simd_avx2;
-  obs::CounterRef calls_simd_avx512;
-  obs::CounterRef calls_tree;
-  obs::CounterRef pairs;
-  obs::HistogramRef tile_seconds;
-};
-
-KernelMetrics& kernel_metrics() {
-  static KernelMetrics m{
-      obs::metrics().counter("nbody.kernel.calls.scalar"),
-      obs::metrics().counter("nbody.kernel.calls.tiled"),
-      obs::metrics().counter("nbody.kernel.calls.tiled_mt"),
-      obs::metrics().counter("nbody.kernel.calls.simd_avx2"),
-      obs::metrics().counter("nbody.kernel.calls.simd_avx512"),
-      obs::metrics().counter("nbody.kernel.calls.tree"),
-      obs::metrics().counter("nbody.kernel.pairs"),
-      obs::metrics().histogram("nbody.kernel.tile_seconds", 0.0, 1e-3, 50),
-  };
-  return m;
-}
-
 /// The widest usable simd tier as a ForceKernel, or Tiled when none is.
 ForceKernel best_single_thread_exact() {
   switch (widest_simd_tier()) {
@@ -72,27 +43,7 @@ ForceKernel best_single_thread_exact() {
 
 }  // namespace
 
-const obs::HistogramRef& tile_timer() noexcept {
-  return kernel_metrics().tile_seconds;
-}
-
-support::ThreadPool& kernel_pool() {
-  static support::ThreadPool& pool = []() -> support::ThreadPool& {
-    support::ThreadPool& p = support::ThreadPool::shared();
-    support::ThreadPool::Observer observer;
-    observer.queue_depth = [gauge = obs::metrics().gauge("pool.queue_depth")](
-                               double depth) { gauge.set(depth); };
-    observer.chunks_executed =
-        [counter = obs::metrics().counter("pool.chunks_executed")](
-            std::uint64_t n) { counter.inc(n); };
-    observer.jobs_submitted =
-        [counter = obs::metrics().counter("pool.jobs_submitted")](
-            std::uint64_t n) { counter.inc(n); };
-    p.set_observer(std::move(observer));
-    return p;
-  }();
-  return pool;
-}
+support::ThreadPool& kernel_pool() { return support::ThreadPool::shared(); }
 
 std::optional<ForceKernel> parse_force_kernel(std::string_view name) noexcept {
   if (name == "auto") return ForceKernel::Auto;
@@ -190,23 +141,15 @@ void accumulate(ForceKernel kind, std::span<const Vec3> target_pos,
   SPEC_EXPECTS(acc.size() == target_pos.size());
   kind = resolve_force_kernel(kind, target_pos.size(), src_pos.size());
 
-  KernelMetrics& metrics = kernel_metrics();
   if (kind == ForceKernel::Tree) {
     // The tree kernel works on the AoS spans directly (it builds its own
-    // sorted SoA image) and reports evaluated interactions, the O(N log N)
-    // analogue of the pair count.
-    metrics.calls_tree.inc();
-    const std::size_t interactions =
-        bh_accumulate(target_pos, src_pos, src_mass, softening2, skip_offset,
-                      acc, bh_opening_angle());
-    metrics.pairs.inc(static_cast<std::uint64_t>(interactions));
+    // sorted SoA image).
+    bh_accumulate(target_pos, src_pos, src_mass, softening2, skip_offset, acc,
+                  bh_opening_angle());
     return;
   }
-  metrics.pairs.inc(
-      static_cast<std::uint64_t>(target_pos.size() * src_pos.size()));
 
   if (kind == ForceKernel::Scalar) {
-    metrics.calls_scalar.inc();
     scalar_accumulate(target_pos, src_pos, src_mass, softening2, skip_offset,
                       acc);
     return;
@@ -241,23 +184,19 @@ void accumulate(ForceKernel kind, std::span<const Vec3> target_pos,
   const SoaView sources{s.sx.data(), s.sy.data(), s.sz.data(), s.sm.data(), ns};
   switch (kind) {
     case ForceKernel::TiledMT:
-      metrics.calls_tiled_mt.inc();
       tiled_mt_accumulate(targets, sources, softening2, skip_offset,
                           s.ax.data(), s.ay.data(), s.az.data(),
                           &kernel_pool());
       break;
     case ForceKernel::SimdAvx2:
-      metrics.calls_simd_avx2.inc();
       simd_accumulate(SimdTier::Avx2, targets, sources, softening2,
                       skip_offset, s.ax.data(), s.ay.data(), s.az.data());
       break;
     case ForceKernel::SimdAvx512:
-      metrics.calls_simd_avx512.inc();
       simd_accumulate(SimdTier::Avx512, targets, sources, softening2,
                       skip_offset, s.ax.data(), s.ay.data(), s.az.data());
       break;
     default:
-      metrics.calls_tiled.inc();
       tiled_accumulate(targets, sources, softening2, skip_offset, s.ax.data(),
                        s.ay.data(), s.az.data());
       break;

@@ -107,8 +107,7 @@ void accumulate(ForceKernel kind, std::span<const Vec3> target_pos,
                 double softening2, std::size_t skip_offset,
                 std::span<Vec3> acc);
 
-/// The shared pool with its metrics observer installed (queue depth gauge,
-/// chunk/job counters).  tiled-mt dispatches run on this pool.
+/// The shared pool that tiled-mt dispatches run on.
 support::ThreadPool& kernel_pool();
 
 }  // namespace specomp::nbody::kernels

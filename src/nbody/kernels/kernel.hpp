@@ -33,7 +33,6 @@
 #include <span>
 
 #include "nbody/types.hpp"
-#include "obs/metrics.hpp"
 
 namespace specomp::support {
 class ThreadPool;
@@ -81,9 +80,5 @@ void tiled_mt_accumulate(const SoaView& targets, const SoaView& sources,
                          double softening2, std::size_t skip_offset, double* ax,
                          double* ay, double* az,
                          support::ThreadPool* pool = nullptr);
-
-/// Histogram of per-source-tile sweep durations ("nbody.kernel.tile_seconds");
-/// null (zero-cost) unless metrics collection was enabled at first kernel use.
-const obs::HistogramRef& tile_timer() noexcept;
 
 }  // namespace specomp::nbody::kernels

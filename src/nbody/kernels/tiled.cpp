@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cstdint>
 #include <limits>
 
@@ -135,14 +134,9 @@ void tiled_accumulate_range(const SoaView& t, const SoaView& s, double soft2,
                             std::size_t skip_offset, std::size_t i_begin,
                             std::size_t i_end, double* ax, double* ay,
                             double* az) {
-  const obs::HistogramRef& timer = tile_timer();
-  // specomp: allow(wall-clock): telemetry-only tile timing; never feeds results or virtual time, and is off unless metrics are enabled
-  using WallClock = std::chrono::steady_clock;
   for (std::size_t tile_begin = 0; tile_begin < s.n;
        tile_begin += kSourceTile) {
     const std::size_t tile_end = std::min(s.n, tile_begin + kSourceTile);
-    const auto started =
-        timer.live() ? WallClock::now() : WallClock::time_point{};
     std::size_t i = i_begin;
     for (; i + kTargetChunk <= i_end; i += kTargetChunk)
       chunk_at<kTargetChunk>(t, s, tile_begin, tile_end, i, skip_offset, soft2,
@@ -150,10 +144,6 @@ void tiled_accumulate_range(const SoaView& t, const SoaView& s, double soft2,
     for (; i < i_end; ++i)
       chunk_at<1>(t, s, tile_begin, tile_end, i, skip_offset, soft2, ax, ay,
                   az);
-    if (timer.live()) {
-      timer.observe(
-          std::chrono::duration<double>(WallClock::now() - started).count());
-    }
   }
 }
 

@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "obs/atomic_file.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace_export.hpp"
 
 namespace specomp::obs {
@@ -26,14 +25,9 @@ Json table_to_json(const support::Table& table) {
 
 ArtifactWriter::ArtifactWriter(std::string binary, const support::Cli& cli)
     : binary_(std::move(binary)),
-      metrics_path_(cli.get("metrics-out", "")),
       trace_path_(cli.get("trace-out", "")),
       report_path_(cli.get("report-out", "")),
-      csv_path_(cli.get("csv-out", "")) {
-  // Enable collection before the driver constructs engines/communicators so
-  // their cached metric refs are live.
-  if (!metrics_path_.empty()) set_metrics_enabled(true);
-}
+      csv_path_(cli.get("csv-out", "")) {}
 
 void ArtifactWriter::add_table(const std::string& name,
                                const support::Table& table) {
@@ -68,9 +62,6 @@ bool ArtifactWriter::flush() {
     }
   };
 
-  if (!metrics_path_.empty())
-    write_text(metrics_path_, metrics().to_json().dump(2) + "\n", "metrics");
-
   if (!trace_path_.empty()) {
     if (!have_trace_) {
       std::fprintf(stderr,
@@ -100,7 +91,6 @@ bool ArtifactWriter::flush() {
         tables.set(name, table_to_json(table));
       doc.set("tables", std::move(tables));
       if (!entries_.is_null()) doc.set("entries", entries_);
-      if (metrics_enabled()) doc.set("metrics", metrics().to_json());
     }
     write_text(report_path_, doc.dump(2) + "\n", "report");
   }

@@ -3,7 +3,6 @@
 // Every driver constructs an ArtifactWriter from its Cli right after
 // parsing; the writer claims the shared telemetry flags
 //
-//   --metrics-out=FILE   metrics registry snapshot (enables collection)
 //   --trace-out=FILE     Chrome trace JSON (or JSONL if FILE ends .jsonl)
 //   --report-out=FILE    structured run/bench report JSON
 //   --csv-out=FILE       every recorded table, as diffable CSV
@@ -14,8 +13,7 @@
 //
 // Bench reports without a full RunReport use the
 // "specomp.bench_report.v1" envelope:
-//   {schema, binary, tables: {name: {headers, rows}}, entries: {...},
-//    metrics: {...}}
+//   {schema, binary, tables: {name: {headers, rows}}, entries: {...}}
 #pragma once
 
 #include <string>
@@ -48,7 +46,6 @@ class ArtifactWriter {
   /// SimConfig::record_trace only when somebody will read the result.
   bool wants_trace() const noexcept { return !trace_path_.empty(); }
   bool wants_report() const noexcept { return !report_path_.empty(); }
-  bool wants_metrics() const noexcept { return !metrics_path_.empty(); }
 
   /// Records a named table for the CSV and bench-report outputs.
   void add_table(const std::string& name, const support::Table& table);
@@ -65,7 +62,6 @@ class ArtifactWriter {
 
  private:
   std::string binary_;
-  std::string metrics_path_;
   std::string trace_path_;
   std::string report_path_;
   std::string csv_path_;

@@ -54,6 +54,22 @@ std::string json_number(double v) {
   return buf;
 }
 
+// 2^63 and 2^64 are exact doubles; converting a value outside the target
+// range would be undefined behaviour, so it is rejected instead.
+std::int64_t Json::as_int() const {
+  const double v = as_double();
+  if (!(v >= -9.223372036854775808e18 && v < 9.223372036854775808e18))
+    throw std::runtime_error("Json: number out of int64 range");
+  return static_cast<std::int64_t>(v);
+}
+
+std::uint64_t Json::as_uint() const {
+  const double v = as_double();
+  if (!(v > -1.0 && v < 1.8446744073709551616e19))
+    throw std::runtime_error("Json: number out of uint64 range");
+  return static_cast<std::uint64_t>(v);
+}
+
 void Json::push_back(Json v) {
   if (is_null()) value_ = Array{};
   as_array().push_back(std::move(v));
@@ -141,7 +157,7 @@ class Parser {
   explicit Parser(std::string_view text) : text_(text) {}
 
   Json parse_document() {
-    Json v = parse_value();
+    Json v = parse_value(0);
     skip_ws();
     if (pos_ != text_.size()) fail("trailing characters after document");
     return v;
@@ -177,11 +193,11 @@ class Parser {
     return true;
   }
 
-  Json parse_value() {
+  Json parse_value(int depth) {
     skip_ws();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{': return parse_object(depth + 1);
+      case '[': return parse_array(depth + 1);
       case '"': return Json(parse_string());
       case 't':
         if (consume_literal("true")) return Json(true);
@@ -196,7 +212,15 @@ class Parser {
     }
   }
 
-  Json parse_object() {
+  // `depth` counts the arrays/objects enclosing the value being parsed.
+  void enter(int depth) const {
+    if (depth > Json::kMaxParseDepth)
+      fail("nesting deeper than " + std::to_string(Json::kMaxParseDepth) +
+           " levels");
+  }
+
+  Json parse_object(int depth) {
+    enter(depth);
     expect('{');
     Json::Object members;
     skip_ws();
@@ -209,7 +233,7 @@ class Parser {
       std::string key = parse_string();
       skip_ws();
       expect(':');
-      members.emplace_back(std::move(key), parse_value());
+      members.emplace_back(std::move(key), parse_value(depth));
       skip_ws();
       if (peek() == ',') {
         ++pos_;
@@ -220,7 +244,8 @@ class Parser {
     }
   }
 
-  Json parse_array() {
+  Json parse_array(int depth) {
+    enter(depth);
     expect('[');
     Json::Array items;
     skip_ws();
@@ -229,7 +254,7 @@ class Parser {
       return Json(std::move(items));
     }
     for (;;) {
-      items.push_back(parse_value());
+      items.push_back(parse_value(depth));
       skip_ws();
       if (peek() == ',') {
         ++pos_;

@@ -51,8 +51,10 @@ class Json {
 
   bool as_bool() const { return std::get<bool>(value_); }
   double as_double() const { return std::get<double>(value_); }
-  std::int64_t as_int() const { return static_cast<std::int64_t>(std::get<double>(value_)); }
-  std::uint64_t as_uint() const { return static_cast<std::uint64_t>(std::get<double>(value_)); }
+  /// Integer views truncate toward zero; a number outside the target
+  /// type's range throws std::runtime_error.
+  std::int64_t as_int() const;
+  std::uint64_t as_uint() const;
   const std::string& as_string() const { return std::get<std::string>(value_); }
   const Array& as_array() const { return std::get<Array>(value_); }
   Array& as_array() { return std::get<Array>(value_); }
@@ -74,8 +76,14 @@ class Json {
   std::string dump(int indent = -1) const;
 
   /// Parses a complete JSON document (trailing garbage is an error).
-  /// Throws std::runtime_error with a byte offset on malformed input.
+  /// Throws std::runtime_error with a byte offset on malformed input,
+  /// including arrays/objects nested deeper than kMaxParseDepth.
   static Json parse(std::string_view text);
+
+  /// Nesting bound for parse(): the parser recurses once per level, so an
+  /// unbounded depth would let a hostile line exhaust the stack.  Every
+  /// document this project writes nests fewer than ten levels.
+  static constexpr int kMaxParseDepth = 256;
 
  private:
   std::variant<std::nullptr_t, bool, double, std::string, Array, Object> value_;

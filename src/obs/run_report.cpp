@@ -74,6 +74,29 @@ void RunReport::fill_dists(const std::vector<NamedDist>& dists) {
   }
 }
 
+void RunReport::fill_des(const des::KernelStats& stats) {
+  des = DesTotals{stats.events_executed, stats.queue_peak};
+}
+
+void RunReport::fill_faults(const runtime::FaultPlan* plan,
+                            const runtime::FaultStats& stats) {
+  if (plan != nullptr) faults = stats;
+}
+
+Json fault_stats_to_json(const runtime::FaultStats& stats) {
+  Json out = Json::object();
+  out.set("injected_drops", stats.injected_drops);
+  out.set("retransmits", stats.retransmits);
+  out.set("messages_lost", stats.messages_lost);
+  out.set("injected_duplicates", stats.injected_duplicates);
+  out.set("duplicates_suppressed", stats.duplicates_suppressed);
+  out.set("injected_reorders", stats.injected_reorders);
+  out.set("slowdown_charges", stats.slowdown_charges);
+  out.set("stalls", stats.stalls);
+  out.set("crashed_ranks", stats.crashed_ranks);
+  return out;
+}
+
 double RunReport::phase_mean_per_iteration(const std::string& phase) const {
   for (const auto& row : phases)
     if (row.phase == phase) return row.mean_per_iteration_seconds;
@@ -152,6 +175,14 @@ Json RunReport::to_json() const {
     }
     doc.set("distributions", std::move(rows));
   }
+
+  if (des) {
+    Json d = Json::object();
+    d.set("events_executed", des->events_executed);
+    d.set("queue_peak", des->queue_peak);
+    doc.set("des", std::move(d));
+  }
+  if (faults) doc.set("faults", fault_stats_to_json(*faults));
 
   if (!extra.is_null()) doc.set("extra", extra);
   return doc;
@@ -241,6 +272,23 @@ RunReport RunReport::from_json(const Json& doc) {
       row.p99 = r.at("p99").as_double();
       report.distributions.push_back(std::move(row));
     }
+  }
+
+  if (const Json* d = doc.find("des")) {
+    report.des = DesTotals{d->at("events_executed").as_uint(),
+                           d->at("queue_peak").as_uint()};
+  }
+  if (const Json* f = doc.find("faults")) {
+    runtime::FaultStats& fs = report.faults.emplace();
+    fs.injected_drops = f->at("injected_drops").as_uint();
+    fs.retransmits = f->at("retransmits").as_uint();
+    fs.messages_lost = f->at("messages_lost").as_uint();
+    fs.injected_duplicates = f->at("injected_duplicates").as_uint();
+    fs.duplicates_suppressed = f->at("duplicates_suppressed").as_uint();
+    fs.injected_reorders = f->at("injected_reorders").as_uint();
+    fs.slowdown_charges = f->at("slowdown_charges").as_uint();
+    fs.stalls = f->at("stalls").as_uint();
+    fs.crashed_ranks = f->at("crashed_ranks").as_uint();
   }
 
   if (const Json* extra = doc.find("extra")) report.extra = *extra;

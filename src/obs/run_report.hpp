@@ -4,20 +4,25 @@
 // collecting everything the paper's evaluation tables need: the run
 // configuration (FW, θ, speculator, cluster shape), the Table-2 phase
 // breakdown from runtime::PhaseTimer, the Table-3 speculation outcome from
-// spec::SpecStats, and the network totals from net::ChannelStats.  Every
+// spec::SpecStats, the network totals from net::ChannelStats, and the DES
+// and fault-injection totals from des::KernelStats and runtime::FaultStats.
+// Each section is filled from that run's own stats structs.  Every
 // bench binary and example can emit one, so BENCH_*.json trajectories are
 // comparable across PRs.  from_json() restores a report, which is how the
 // tests prove the schema round-trips.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "des/kernel.hpp"
 #include "net/channel.hpp"
 #include "obs/dist_sketch.hpp"
 #include "obs/json.hpp"
 #include "runtime/cluster.hpp"
+#include "runtime/fault.hpp"
 #include "runtime/phase_timer.hpp"
 #include "spec/stats.hpp"
 
@@ -26,7 +31,8 @@ namespace specomp::obs {
 inline constexpr const char* kRunReportSchema = "specomp.run_report.v2";
 /// Current document version; from_json() also accepts v1 documents (which
 /// simply lack the "distributions" section) and rejects anything newer or
-/// unknown with a clear error.
+/// unknown with a clear error.  The optional "des" and "faults" sections
+/// are additive: documents without them load with the fields unset.
 inline constexpr int kRunReportVersion = 2;
 inline constexpr const char* kRunReportSchemaV1 = "specomp.run_report.v1";
 
@@ -93,6 +99,19 @@ struct RunReport {
   };
   std::vector<DistRow> distributions;
 
+  // ---- DES kernel totals (optional) ----
+  struct DesTotals {
+    std::uint64_t events_executed = 0;
+    std::uint64_t queue_peak = 0;
+  };
+  /// Set by fill_des for simulated runs; absent for the thread backend.
+  std::optional<DesTotals> des;
+
+  // ---- Fault injection (optional) ----
+  /// Every FaultStats counter; set only when a fault plan was armed, so
+  /// fault-free runs carry no all-zero "faults" section.
+  std::optional<runtime::FaultStats> faults;
+
   /// Free-form per-binary additions, emitted under "extra".
   Json extra;
 
@@ -107,6 +126,11 @@ struct RunReport {
   void fill_cluster(const runtime::Cluster& cluster);
   /// Summarises SimResult::dists into `distributions`.
   void fill_dists(const std::vector<NamedDist>& dists);
+  void fill_des(const des::KernelStats& stats);
+  /// Records `stats` when `plan` is armed (non-null); leaves `faults` unset
+  /// otherwise.
+  void fill_faults(const runtime::FaultPlan* plan,
+                   const runtime::FaultStats& stats);
 
   /// Mean per-iteration seconds recorded for `phase` (0 when absent).
   double phase_mean_per_iteration(const std::string& phase) const;
@@ -117,5 +141,9 @@ struct RunReport {
   /// Serialises to `path` (pretty-printed); returns false on I/O failure.
   bool write(const std::string& path) const;
 };
+
+/// The "faults" object: one key per FaultStats counter.  Also used by
+/// drivers that report faults in a bench-report envelope.
+Json fault_stats_to_json(const runtime::FaultStats& stats);
 
 }  // namespace specomp::obs

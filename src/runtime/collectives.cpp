@@ -5,51 +5,11 @@
 #include <utility>
 
 #include "net/buffer_pool.hpp"
-#include "obs/metrics.hpp"
 #include "support/contracts.hpp"
 
 namespace specomp::runtime {
 
 namespace {
-
-// Per-invocation counter handles.  Fetched per collective call (not per
-// message): collectives are issued per iteration, not per event, and a
-// per-call fetch keeps the counters live even when metrics collection is
-// enabled after the first communicator was built.
-struct CollCounters {
-  obs::CounterRef messages;
-  obs::CounterRef bytes;
-};
-
-CollCounters coll_counters() {
-  return {obs::metrics().counter("collectives.messages"),
-          obs::metrics().counter("collectives.bytes")};
-}
-
-void send_counted(Communicator& comm, const CollCounters& counters,
-                  net::Rank dst, int tag, std::vector<std::byte> payload) {
-  counters.messages.inc();
-  counters.bytes.inc(payload.size());
-  comm.send(dst, tag, std::move(payload));
-}
-
-void send_doubles_counted(Communicator& comm, const CollCounters& counters,
-                          net::Rank dst, int tag,
-                          std::span<const double> values) {
-  net::ByteWriter writer(net::BufferPool::local().acquire());
-  writer.write_span(values);
-  send_counted(comm, counters, dst, tag, std::move(writer).take());
-}
-
-std::vector<double> recv_doubles_pooled(Communicator& comm, net::Rank src,
-                                        int tag) {
-  net::Message msg = comm.recv(src, tag);
-  net::ByteReader reader(msg.payload);
-  const std::span<const double> values = reader.read_span<double>();
-  std::vector<double> out(values.begin(), values.end());
-  net::BufferPool::local().release(std::move(msg.payload));
-  return out;
-}
 
 // ---------------------------------------------------------------------------
 // Rank-labelled block sets: the unit the binomial gather forwards upward.
@@ -89,7 +49,6 @@ void decode_blocks_into(std::span<const std::byte> payload,
 /// parent — p-1 messages over ceil(log2 p) rounds.  Returns the full set at
 /// the root (unspecified order), an empty vector elsewhere.
 std::vector<RankBlock> gather_tree_blocks(Communicator& comm,
-                                          const CollCounters& counters,
                                           net::Rank root,
                                           std::span<const double> local,
                                           int tag) {
@@ -109,7 +68,7 @@ std::vector<RankBlock> gather_tree_blocks(Communicator& comm,
       }
     } else {
       const net::Rank parent = ((vrank - mask) + root) % p;
-      send_counted(comm, counters, parent, tag, encode_blocks(collected));
+      comm.send(parent, tag, encode_blocks(collected));
       return {};
     }
   }
@@ -120,9 +79,8 @@ std::vector<RankBlock> gather_tree_blocks(Communicator& comm,
 /// ceil(log2 p) rounds; children are served highest-distance first, the
 /// classic binomial schedule).  On non-roots `payload` is replaced by the
 /// received image.
-void broadcast_tree_bytes(Communicator& comm, const CollCounters& counters,
-                          net::Rank root, std::vector<std::byte>& payload,
-                          int tag) {
+void broadcast_tree_bytes(Communicator& comm, net::Rank root,
+                          std::vector<std::byte>& payload, int tag) {
   const int p = comm.size();
   const int vrank = (comm.rank() - root + p) % p;
   int mask = 1;
@@ -139,8 +97,7 @@ void broadcast_tree_bytes(Communicator& comm, const CollCounters& counters,
   while (mask > 0) {
     if (vrank + mask < p) {
       const net::Rank child = ((vrank + mask) + root) % p;
-      send_counted(comm, counters, child, tag,
-                   std::vector<std::byte>(payload));
+      comm.send(child, tag, std::vector<std::byte>(payload));
     }
     mask >>= 1;
   }
@@ -156,7 +113,6 @@ CollectiveAlgo resolve(const Communicator& comm, CollectiveAlgo algo) {
 // ---------------------------------------------------------------------------
 
 std::vector<std::vector<double>> gather_flat(Communicator& comm,
-                                             const CollCounters& counters,
                                              net::Rank root,
                                              std::span<const double> local,
                                              int tag) {
@@ -166,23 +122,22 @@ std::vector<std::vector<double>> gather_flat(Communicator& comm,
     blocks[static_cast<std::size_t>(root)].assign(local.begin(), local.end());
     for (int r = 0; r < comm.size(); ++r) {
       if (r == root) continue;
-      blocks[static_cast<std::size_t>(r)] = recv_doubles_pooled(comm, r, tag);
+      blocks[static_cast<std::size_t>(r)] = comm.recv_doubles(r, tag);
     }
   } else {
-    send_doubles_counted(comm, counters, root, tag, local);
+    comm.send_doubles(root, tag, local);
   }
   return blocks;
 }
 
-void broadcast_flat(Communicator& comm, const CollCounters& counters,
-                    net::Rank root, std::vector<double>& data, int tag) {
+void broadcast_flat(Communicator& comm, net::Rank root,
+                    std::vector<double>& data, int tag) {
   if (comm.rank() == root) {
     for (int r = 0; r < comm.size(); ++r)
       if (r != root)
-        send_doubles_counted(comm, counters, r, tag,
-                             std::span<const double>(data));
+        comm.send_doubles(r, tag, std::span<const double>(data));
   } else {
-    data = recv_doubles_pooled(comm, root, tag);
+    data = comm.recv_doubles(root, tag);
   }
 }
 
@@ -200,15 +155,15 @@ void broadcast_flat(Communicator& comm, const CollCounters& counters,
 
 using RankValue = std::pair<std::uint64_t, double>;
 
-void send_pairs(Communicator& comm, const CollCounters& counters,
-                net::Rank dst, int tag, const std::vector<RankValue>& pairs) {
+void send_pairs(Communicator& comm, net::Rank dst, int tag,
+                const std::vector<RankValue>& pairs) {
   net::ByteWriter writer(net::BufferPool::local().acquire());
   writer.write<std::uint64_t>(pairs.size());
   for (const RankValue& rv : pairs) {
     writer.write<std::uint64_t>(rv.first);
     writer.write<double>(rv.second);
   }
-  send_counted(comm, counters, dst, tag, std::move(writer).take());
+  comm.send(dst, tag, std::move(writer).take());
 }
 
 std::vector<RankValue> recv_pairs(Communicator& comm, net::Rank src, int tag) {
@@ -227,8 +182,7 @@ std::vector<RankValue> recv_pairs(Communicator& comm, net::Rank src, int tag) {
 }
 
 template <typename Fold>
-double allreduce_tree(Communicator& comm, const CollCounters& counters,
-                      double value, int tag, Fold&& fold) {
+double allreduce_tree(Communicator& comm, double value, int tag, Fold&& fold) {
   const int p = comm.size();
   const int rank = comm.rank();
   int p2 = 1;
@@ -237,9 +191,9 @@ double allreduce_tree(Communicator& comm, const CollCounters& counters,
 
   if (rank >= p2) {
     // Park the value at the power-of-two partner, await the folded result.
-    send_pairs(comm, counters, rank - p2, tag,
+    send_pairs(comm, rank - p2, tag,
                {{static_cast<std::uint64_t>(rank), value}});
-    return recv_doubles_pooled(comm, rank - p2, tag)[0];
+    return comm.recv_doubles(rank - p2, tag)[0];
   }
 
   std::vector<RankValue> known{{static_cast<std::uint64_t>(rank), value}};
@@ -250,7 +204,7 @@ double allreduce_tree(Communicator& comm, const CollCounters& counters,
   }
   for (int mask = 1; mask < p2; mask <<= 1) {
     const net::Rank partner = rank ^ mask;
-    send_pairs(comm, counters, partner, tag, known);
+    send_pairs(comm, partner, tag, known);
     std::vector<RankValue> theirs = recv_pairs(comm, partner, tag);
     std::vector<RankValue> merged;
     merged.reserve(known.size() + theirs.size());
@@ -264,19 +218,18 @@ double allreduce_tree(Communicator& comm, const CollCounters& counters,
     acc = fold(acc, known[static_cast<std::size_t>(r)].second);
   if (rank < rem) {
     const double result[] = {acc};
-    send_doubles_counted(comm, counters, rank + p2, tag, result);
+    comm.send_doubles(rank + p2, tag, result);
   }
   return acc;
 }
 
 template <typename Fold>
-double allreduce_flat(Communicator& comm, const CollCounters& counters,
-                      double value, int tag, Fold&& fold) {
+double allreduce_flat(Communicator& comm, double value, int tag, Fold&& fold) {
   // Fan-in to rank 0, fold, fan-out — the simple linear scheme the paper's
   // PVM codes used.  Two tags keep the phases apart.
   constexpr net::Rank kRoot = 0;
   const std::vector<double> mine{value};
-  const auto blocks = gather_flat(comm, counters, kRoot, mine, tag);
+  const auto blocks = gather_flat(comm, kRoot, mine, tag);
   std::vector<double> result{value};
   if (comm.rank() == kRoot) {
     double acc = blocks[0][0];
@@ -284,19 +237,17 @@ double allreduce_flat(Communicator& comm, const CollCounters& counters,
       acc = fold(acc, blocks[static_cast<std::size_t>(r)][0]);
     result[0] = acc;
   }
-  broadcast_flat(comm, counters, kRoot, result, tag + 1);
+  broadcast_flat(comm, kRoot, result, tag + 1);
   return result[0];
 }
 
 template <typename Fold>
 double allreduce(Communicator& comm, double value, int tag, CollectiveAlgo algo,
                  Fold&& fold) {
-  obs::metrics().counter("coll.allreduce").inc();
   if (comm.size() <= 1) return value;
-  const CollCounters counters = coll_counters();
   if (resolve(comm, algo) == CollectiveAlgo::Tree)
-    return allreduce_tree(comm, counters, value, tag, fold);
-  return allreduce_flat(comm, counters, value, tag, fold);
+    return allreduce_tree(comm, value, tag, fold);
+  return allreduce_flat(comm, value, tag, fold);
 }
 
 }  // namespace
@@ -305,13 +256,10 @@ std::vector<std::vector<double>> gather(Communicator& comm, net::Rank root,
                                         std::span<const double> local, int tag,
                                         CollectiveAlgo algo) {
   SPEC_EXPECTS(root >= 0 && root < comm.size());
-  obs::metrics().counter("coll.gather").inc();
-  const CollCounters counters = coll_counters();
   if (resolve(comm, algo) != CollectiveAlgo::Tree)
-    return gather_flat(comm, counters, root, local, tag);
+    return gather_flat(comm, root, local, tag);
 
-  std::vector<RankBlock> collected =
-      gather_tree_blocks(comm, counters, root, local, tag);
+  std::vector<RankBlock> collected = gather_tree_blocks(comm, root, local, tag);
   std::vector<std::vector<double>> blocks;
   if (comm.rank() == root) {
     blocks.resize(static_cast<std::size_t>(comm.size()));
@@ -324,16 +272,14 @@ std::vector<std::vector<double>> gather(Communicator& comm, net::Rank root,
 void broadcast(Communicator& comm, net::Rank root, std::vector<double>& data,
                int tag, CollectiveAlgo algo) {
   SPEC_EXPECTS(root >= 0 && root < comm.size());
-  obs::metrics().counter("coll.broadcast").inc();
-  const CollCounters counters = coll_counters();
   if (resolve(comm, algo) != CollectiveAlgo::Tree) {
-    broadcast_flat(comm, counters, root, data, tag);
+    broadcast_flat(comm, root, data, tag);
     return;
   }
   net::ByteWriter writer(net::BufferPool::local().acquire());
   writer.write_span(std::span<const double>(data));
   std::vector<std::byte> payload = std::move(writer).take();
-  broadcast_tree_bytes(comm, counters, root, payload, tag);
+  broadcast_tree_bytes(comm, root, payload, tag);
   if (comm.rank() != root) {
     net::ByteReader reader(payload);
     const std::span<const double> values = reader.read_span<double>();
@@ -345,8 +291,6 @@ void broadcast(Communicator& comm, net::Rank root, std::vector<double>& data,
 std::vector<std::vector<double>> allgather(Communicator& comm,
                                            std::span<const double> local,
                                            int tag, CollectiveAlgo algo) {
-  obs::metrics().counter("coll.allgather").inc();
-  const CollCounters counters = coll_counters();
   const int p = comm.size();
   const int rank = comm.rank();
   std::vector<std::vector<double>> blocks(static_cast<std::size_t>(p));
@@ -360,11 +304,11 @@ std::vector<std::vector<double>> allgather(Communicator& comm,
     // p(p-1) messages in one round (what the Fig. 1/7 exchange does each
     // iteration).
     for (int i = 1; i < p; ++i)
-      send_doubles_counted(comm, counters, (rank + i) % p, tag, local);
+      comm.send_doubles((rank + i) % p, tag, local);
     blocks[static_cast<std::size_t>(rank)].assign(local.begin(), local.end());
     for (int r = 0; r < p; ++r) {
       if (r == rank) continue;
-      blocks[static_cast<std::size_t>(r)] = recv_doubles_pooled(comm, r, tag);
+      blocks[static_cast<std::size_t>(r)] = comm.recv_doubles(r, tag);
     }
     return blocks;
   }
@@ -373,7 +317,7 @@ std::vector<std::vector<double>> allgather(Communicator& comm,
   // broadcast of the combined image — 2(p-1) messages, 2 ceil(log2 p) rounds.
   constexpr net::Rank kRoot = 0;
   std::vector<RankBlock> collected =
-      gather_tree_blocks(comm, counters, kRoot, local, tag);
+      gather_tree_blocks(comm, kRoot, local, tag);
   std::vector<std::byte> payload;
   if (rank == kRoot) {
     std::sort(collected.begin(), collected.end(),
@@ -382,7 +326,7 @@ std::vector<std::vector<double>> allgather(Communicator& comm,
               });
     payload = encode_blocks(collected);
   }
-  broadcast_tree_bytes(comm, counters, kRoot, payload, tag + 1);
+  broadcast_tree_bytes(comm, kRoot, payload, tag + 1);
   std::vector<RankBlock> all;
   decode_blocks_into(payload, all);
   net::BufferPool::local().release(std::move(payload));
@@ -406,11 +350,9 @@ double allreduce_max(Communicator& comm, double value, int tag,
 void dissemination_barrier(Communicator& comm, int tag) {
   const int p = comm.size();
   if (p <= 1) return;
-  obs::metrics().counter("coll.barrier").inc();
-  const CollCounters counters = coll_counters();
   const int rank = comm.rank();
   for (int dist = 1; dist < p; dist <<= 1) {
-    send_counted(comm, counters, (rank + dist) % p, tag, {});
+    comm.send((rank + dist) % p, tag, {});
     net::Message msg = comm.recv((rank - dist + p) % p, tag);
     net::BufferPool::local().release(std::move(msg.payload));
   }

@@ -27,7 +27,6 @@
 #include "net/buffer_pool.hpp"
 #include "net/message.hpp"
 #include "net/serialization.hpp"
-#include "obs/metrics.hpp"
 #include "runtime/collective_algo.hpp"
 #include "runtime/phase_timer.hpp"
 
@@ -149,40 +148,11 @@ class Communicator {
   }
 
  protected:
-  /// Fetches the shared telemetry instruments.  The refs are no-ops unless
-  /// obs::set_metrics_enabled(true) ran before this communicator was
-  /// constructed, so the hot paths pay a single branch when telemetry is
-  /// off (see obs/metrics.hpp).  Both backends report under the same names,
-  /// aggregated across ranks.
-  Communicator()
-      : metric_msgs_sent_(obs::metrics().counter("comm.messages_sent")),
-        metric_bytes_sent_(obs::metrics().counter("comm.bytes_sent")),
-        metric_msgs_received_(obs::metrics().counter("comm.messages_received")),
-        metric_bytes_received_(obs::metrics().counter("comm.bytes_received")),
-        metric_recv_wait_(obs::metrics().histogram("comm.recv_wait_seconds",
-                                                   0.0, 10.0, 50)) {}
-
-  void record_send(std::size_t payload_bytes) const noexcept {
-    metric_msgs_sent_.inc();
-    metric_bytes_sent_.inc(payload_bytes);
-  }
-  void record_receive(std::size_t payload_bytes) const noexcept {
-    metric_msgs_received_.inc();
-    metric_bytes_received_.inc(payload_bytes);
-  }
-  void record_recv_wait(double seconds) const noexcept {
-    metric_recv_wait_.observe(seconds);
-  }
+  /// Only backends (and test doubles) construct a Communicator.
+  Communicator() = default;
 
   PhaseTimer timer_;
   CollectiveAlgo collective_ = CollectiveAlgo::Auto;
-
- private:
-  obs::CounterRef metric_msgs_sent_;
-  obs::CounterRef metric_bytes_sent_;
-  obs::CounterRef metric_msgs_received_;
-  obs::CounterRef metric_bytes_received_;
-  obs::HistogramRef metric_recv_wait_;
 };
 
 /// An SPMD program body: invoked once per rank with that rank's endpoint.

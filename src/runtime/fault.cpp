@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 
-#include "obs/metrics.hpp"
 #include "support/contracts.hpp"
 #include "support/rng.hpp"
 
@@ -46,19 +45,6 @@ bool FaultStats::any() const noexcept {
   return injected_drops != 0 || messages_lost != 0 ||
          injected_duplicates != 0 || injected_reorders != 0 ||
          slowdown_charges != 0 || stalls != 0 || crashed_ranks != 0;
-}
-
-void FaultStats::publish() const {
-  auto& registry = obs::metrics();
-  registry.counter("fault.injected_drops").inc(injected_drops);
-  registry.counter("fault.retransmits").inc(retransmits);
-  registry.counter("fault.messages_lost").inc(messages_lost);
-  registry.counter("fault.injected_duplicates").inc(injected_duplicates);
-  registry.counter("fault.duplicates_suppressed").inc(duplicates_suppressed);
-  registry.counter("fault.injected_reorders").inc(injected_reorders);
-  registry.counter("fault.slowdown_charges").inc(slowdown_charges);
-  registry.counter("fault.stalls").inc(stalls);
-  registry.counter("fault.crashed_ranks").inc(crashed_ranks);
 }
 
 FaultPlan::FaultPlan(FaultPlanConfig config) : config_(std::move(config)) {

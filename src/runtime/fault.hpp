@@ -71,8 +71,8 @@ namespace specomp::runtime {
 struct RankCrashed {};
 
 /// Per-run fault bookkeeping, counted by the world that owns the run and
-/// returned in SimResult / ThreadResult (plain counters so parallel sweep
-/// lanes do not share registry state).
+/// returned in SimResult / ThreadResult (plain counters, so parallel sweep
+/// lanes never share state).
 struct FaultStats {
   std::uint64_t injected_drops = 0;        ///< transmissions dropped on the wire
   std::uint64_t retransmits = 0;           ///< recovery resends after a drop
@@ -87,9 +87,6 @@ struct FaultStats {
   void merge(const FaultStats& other) noexcept;
   /// True when any fault actually fired during the run.
   bool any() const noexcept;
-  /// Mirrors the counters into the obs metrics registry under "fault.*"
-  /// (no-op unless metrics collection is enabled).  Called once per run.
-  void publish() const;
 };
 
 /// Message-fault probabilities for one directed link.  src/dst of -1 match

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "net/buffer_pool.hpp"
-#include "obs/metrics.hpp"
 #include "runtime/collectives.hpp"
 #include "runtime/hb_check.hpp"
 #include "support/contracts.hpp"
@@ -89,17 +88,8 @@ class SimWorld {
       if (hb_violation_ == nullptr) throw;
     }
     if (hb_violation_ != nullptr) std::rethrow_exception(hb_violation_);
-    // Surfaced once per run, after the event loop — the kernel hot path
-    // never touches the registry, so telemetry stays zero-cost when off.
-    obs::metrics()
-        .counter("des.events_executed")
-        .inc(result.kernel_stats.events_executed);
-    obs::metrics()
-        .gauge("des.queue_peak")
-        .set(static_cast<double>(result.kernel_stats.queue_peak));
 #if SPECOMP_HB_CHECK_ENABLED
-    if (hb_ != nullptr)
-      obs::metrics().counter("hb.events_checked").inc(hb_->events_checked());
+    if (hb_ != nullptr) result.hb_events_checked = hb_->events_checked();
 #endif
     for (const auto t : finish_times_)
       result.makespan_seconds =
@@ -127,9 +117,6 @@ class SimWorld {
             obs::NamedDist{"service.rank" + std::to_string(r), sk});
       }
     }
-    // Mirror into the metrics registry only when a plan was armed, so
-    // fault-free runs do not grow "fault.*" zero rows in run reports.
-    if (config_.fault != nullptr) result.fault_stats.publish();
     return result;
   }
 
@@ -337,7 +324,6 @@ void SimCommunicator::send(net::Rank dst, int tag,
   msg.seq = next_seq_++;
   msg.sent_at = process_->now();
   msg.payload = std::move(payload);
-  record_send(msg.payload.size());
   if (des::Trace* trace = world_.trace()) {
     // Emitted before the fault plan is consulted: a Send edge with no
     // matching Recv is exactly how a lost (norecovery) message shows up in
@@ -479,7 +465,6 @@ bool SimCommunicator::try_recv(net::Rank src, int tag, net::Message& out) {
                        process_->now().to_seconds());
   }
 #endif
-  record_receive(out.payload.size());
   note_recv_causal(out);
   return true;
 }
@@ -495,8 +480,6 @@ void SimCommunicator::note_received(const net::Message& msg,
 #endif
   const des::SimTime waited = process_->now() - wait_begin;
   timer_.add(Phase::Communicate, waited);
-  record_receive(msg.payload.size());
-  record_recv_wait(waited.to_seconds());
   note_recv_causal(msg);
   if (des::Trace* trace = world_.trace();
       trace != nullptr && waited > des::SimTime::zero()) {
@@ -542,7 +525,6 @@ bool SimCommunicator::recv_timeout(net::Rank src, int tag,
     if (process_->now() >= deadline) {
       const des::SimTime waited = process_->now() - begin;
       timer_.add(Phase::Communicate, waited);
-      record_recv_wait(waited.to_seconds());
       if (des::Trace* trace = world_.trace();
           trace != nullptr && waited > des::SimTime::zero()) {
         trace->add_span(static_cast<std::uint64_t>(rank_), des::SpanKind::Wait,

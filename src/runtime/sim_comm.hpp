@@ -8,6 +8,7 @@
 // — only *time* is simulated.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -73,6 +74,8 @@ struct SimResult {
   /// Observed distributions ("link_delay.S->D", "service.rankR"); empty
   /// unless SimConfig::record_dists.  Links with no traffic are omitted.
   std::vector<obs::NamedDist> dists;
+  /// Events the happens-before detector checked; 0 when it is off.
+  std::uint64_t hb_events_checked = 0;
 };
 
 /// Runs `body` as an SPMD program, one simulated rank per cluster machine.
@@ -112,7 +115,7 @@ class SimCommunicator final : public Communicator {
   des::SpanKind span_kind_for(Phase phase) const;
   net::Message recv_blocking(bool any, net::Rank src, int tag);
   /// Bookkeeping common to every successful receive (hb check, phase timer,
-  /// metrics, Wait trace span).
+  /// Wait trace span).
   void note_received(const net::Message& msg, des::SimTime wait_begin);
   /// Causal Recv edge endpoint + link-delay distribution sample; shared by
   /// every receive path.

@@ -221,7 +221,6 @@ void ThreadCommunicator::send(net::Rank dst, int tag,
   msg.tag = tag;
   msg.seq = next_seq_++;
   msg.payload = std::move(payload);
-  record_send(msg.payload.size());
   note_msg_causal(des::CausalKind::Send, dst, tag, msg.seq);
 
   FaultPlan::SendOutcome outcome;
@@ -287,7 +286,6 @@ bool ThreadCommunicator::try_recv(net::Rank src, int tag, net::Message& out) {
   if (HbChecker* hb = world_.hb())
     hb->on_receive(rank_, out.src, out.tag, out.seq);
 #endif
-  record_receive(out.payload.size());
   note_msg_causal(des::CausalKind::Recv, out.src, out.tag, out.seq);
   return true;
 }
@@ -314,8 +312,6 @@ net::Message ThreadCommunicator::recv(net::Rank src, int tag) {
 #endif
   const des::SimTime waited = elapsed_since(begin);
   timer_.add(Phase::Communicate, waited);
-  record_receive(msg.payload.size());
-  record_recv_wait(waited.to_seconds());
   note_msg_causal(des::CausalKind::Recv, msg.src, msg.tag, msg.seq);
   return msg;
 }
@@ -334,14 +330,12 @@ bool ThreadCommunicator::recv_timeout(net::Rank src, int tag,
   auto taken = world_.mailbox(rank_).take_blocking_until(src, tag, deadline);
   const des::SimTime waited = elapsed_since(begin);
   timer_.add(Phase::Communicate, waited);
-  record_recv_wait(waited.to_seconds());
   if (!taken) return false;
   out = std::move(*taken);
 #if SPECOMP_HB_CHECK_ENABLED
   if (HbChecker* hb = world_.hb())
     hb->on_receive(rank_, out.src, out.tag, out.seq);
 #endif
-  record_receive(out.payload.size());
   note_msg_causal(des::CausalKind::Recv, out.src, out.tag, out.seq);
   return true;
 }
@@ -355,8 +349,6 @@ net::Message ThreadCommunicator::recv_any(int tag) {
 #endif
   const des::SimTime waited = elapsed_since(begin);
   timer_.add(Phase::Communicate, waited);
-  record_receive(msg.payload.size());
-  record_recv_wait(waited.to_seconds());
   note_msg_causal(des::CausalKind::Recv, msg.src, msg.tag, msg.seq);
   return msg;
 }
@@ -456,7 +448,6 @@ ThreadResult run_threaded(const ThreadConfig& config, const RankBody& body) {
   result.timers.reserve(comms.size());
   for (const auto& comm : comms) result.timers.push_back(comm->timer());
   result.fault_stats = world.fault_stats();
-  if (config.fault != nullptr) result.fault_stats.publish();
   if (config.record_trace) result.trace = world.take_trace();
   return result;
 }

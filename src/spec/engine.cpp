@@ -24,22 +24,6 @@ void decode_into(net::Message& msg, std::vector<double>& out) {
 
 }  // namespace
 
-SpecEngine::Metrics::Metrics()
-    : iterations(obs::metrics().counter("engine.iterations")),
-      speculated(obs::metrics().counter("engine.blocks_speculated")),
-      received_in_time(obs::metrics().counter("engine.blocks_received_in_time")),
-      checks(obs::metrics().counter("engine.checks")),
-      failures(obs::metrics().counter("engine.check_failures")),
-      incremental_corrections(
-          obs::metrics().counter("engine.incremental_corrections")),
-      rollbacks(obs::metrics().counter("engine.rollbacks")),
-      replayed_iterations(obs::metrics().counter("engine.replayed_iterations")),
-      degraded_entries(obs::metrics().counter("degraded.entries")),
-      degraded_iterations(obs::metrics().counter("degraded.iterations")),
-      forward_window(obs::metrics().gauge("engine.forward_window")),
-      check_error(obs::metrics().histogram("engine.check_error", 0.0, 0.1, 50)) {
-}
-
 SpecEngine::SpecEngine(runtime::Communicator& comm, SyncIterativeApp& app,
                        EngineConfig config,
                        std::vector<std::vector<double>> initial_blocks)
@@ -93,8 +77,6 @@ SpecStats SpecEngine::run(long iterations) {
   app_.compute_step();
   comm_.compute(app_.compute_ops(), Phase::Compute);
   ++stats_.iterations;
-  metrics_.iterations.inc();
-  metrics_.forward_window.set(fw_now_);
   comm_.timer().bump_iterations();
   next_compute_ = 1;
 
@@ -150,7 +132,6 @@ SpecStats SpecEngine::run(long iterations) {
           histories_[static_cast<std::size_t>(k)].record(t, slot.block);
         app_.install_peer(k, slot.block);
         ++stats_.blocks_received_in_time;
-        metrics_.received_in_time.inc();
         continue;
       }
       if (fw_now_ == 0) {
@@ -167,7 +148,6 @@ SpecStats SpecEngine::run(long iterations) {
       if (outstanding_[static_cast<std::size_t>(k)]++ == 0)
         oldest_spec_[static_cast<std::size_t>(k)] = t;
       ++stats_.blocks_speculated;
-      metrics_.speculated.inc();
       any_speculated = true;
     }
 
@@ -182,11 +162,7 @@ SpecStats SpecEngine::run(long iterations) {
     comm_.mark_speculative(false);
     next_compute_ = t + 1;
     ++stats_.iterations;
-    metrics_.iterations.inc();
-    if (degraded_) {
-      ++stats_.degraded_iterations;
-      metrics_.degraded_iterations.inc();
-    }
+    if (degraded_) ++stats_.degraded_iterations;
     comm_.timer().bump_iterations();
 
     retire_resolved();
@@ -229,7 +205,6 @@ void SpecEngine::enforce_window(int k) {
     if (!degraded_) {
       degraded_ = true;
       ++stats_.degraded_entries;
-      metrics_.degraded_entries.inc();
       comm_.mark_degraded(true);
     }
     return;
@@ -293,10 +268,8 @@ void SpecEngine::resolve_receipt(int k, long s, std::span<const double> actual) 
   charge_check(k);
   comm_.trace_causal(des::CausalKind::Check, k, s);
   ++stats_.checks;
-  metrics_.checks.inc();
   const double err = app_.speculation_error(k, slot.block, actual);
   stats_.error.add(err);
-  metrics_.check_error.observe(err);
   iter_max_error_ = std::max(iter_max_error_, err);
   const bool acceptable = err <= theta_now_;
 
@@ -318,7 +291,6 @@ void SpecEngine::resolve_receipt(int k, long s, std::span<const double> actual) 
   if (!acceptable) {
     comm_.trace_causal(des::CausalKind::CheckFail, k, s);
     ++stats_.failures;
-    metrics_.failures.inc();
     bool corrected = false;
     if (config_.allow_incremental_correction && s == next_compute_ - 1) {
       corrected = app_.correct_last_step(k, actual);
@@ -326,7 +298,6 @@ void SpecEngine::resolve_receipt(int k, long s, std::span<const double> actual) 
         comm_.compute(app_.correct_ops(k), Phase::Correct);
         comm_.trace_causal(des::CausalKind::Correct, k, s);
         ++stats_.incremental_corrections;
-        metrics_.incremental_corrections.inc();
       }
     }
     if (!corrected) {
@@ -340,7 +311,6 @@ void SpecEngine::resolve_receipt(int k, long s, std::span<const double> actual) 
 
 void SpecEngine::rollback_and_replay(long s) {
   ++stats_.rollbacks;
-  metrics_.rollbacks.inc();
   // Cascade tracking (DESIGN.md §13.4): this rollback *chains* when its
   // target falls inside the span the previous rollback already replayed —
   // the new arrival invalidated recomputed work, the Manita–Simonot cascade
@@ -374,7 +344,6 @@ void SpecEngine::rollback_and_replay(long s) {
     comm_.compute(app_.compute_ops(), Phase::Correct);
     comm_.mark_speculative(false);
     ++stats_.replayed_iterations;
-    metrics_.replayed_iterations.inc();
   }
   if (!window_.empty())
     cascade_span_end_ = std::max(cascade_span_end_, window_.back().t);
@@ -472,7 +441,6 @@ void SpecEngine::consult_policies(long iteration) {
     fw_now_ = std::clamp(config_.window_policy->next_window(feedback), 0,
                          config_.max_forward_window);
     decision = config_.window_policy->last_decision();
-    metrics_.forward_window.set(fw_now_);
   }
 
   if (config_.theta_policy != nullptr) {

@@ -53,7 +53,6 @@
 #include <optional>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "runtime/communicator.hpp"
 #include "spec/adaptive.hpp"
 #include "spec/app.hpp"
@@ -255,24 +254,6 @@ class SpecEngine {
   long cascade_span_end_ = -1;
   std::vector<ControlSample> control_log_;
   SpecStats stats_;
-  // Telemetry; no-ops unless obs::set_metrics_enabled(true) preceded
-  // engine construction (see obs/metrics.hpp).  Aggregated across ranks.
-  struct Metrics {
-    Metrics();
-    obs::CounterRef iterations;
-    obs::CounterRef speculated;
-    obs::CounterRef received_in_time;
-    obs::CounterRef checks;
-    obs::CounterRef failures;
-    obs::CounterRef incremental_corrections;
-    obs::CounterRef rollbacks;
-    obs::CounterRef replayed_iterations;
-    obs::CounterRef degraded_entries;
-    obs::CounterRef degraded_iterations;
-    obs::GaugeRef forward_window;
-    obs::HistogramRef check_error;
-  };
-  Metrics metrics_;
 };
 
 }  // namespace specomp::spec

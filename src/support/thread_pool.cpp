@@ -20,11 +20,6 @@ ThreadPool::~ThreadPool() {
   for (auto& worker : workers_) worker.join();
 }
 
-void ThreadPool::set_observer(Observer observer) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  observer_ = std::move(observer);
-}
-
 void ThreadPool::run_chunk(Job& job, std::size_t index) {
   const std::size_t begin = index * job.grain;
   const std::size_t end = std::min(job.n, begin + job.grain);
@@ -47,13 +42,10 @@ void ThreadPool::worker_loop() {
     if (index >= job->total_chunks) {
       // Every chunk is claimed; retire the job so the next one surfaces.
       queue_.pop_front();
-      if (observer_.queue_depth)
-        observer_.queue_depth(static_cast<double>(queue_.size()));
       continue;
     }
     lock.unlock();
     run_chunk(*job, index);
-    if (observer_.chunks_executed) observer_.chunks_executed(1);
     lock.lock();
   }
 }
@@ -71,30 +63,22 @@ void ThreadPool::parallel_for(std::size_t n, std::size_t grain,
   if (workers_.empty() || job.total_chunks == 1) {
     // Inline fast path: nothing to hand out, so skip the queue entirely.
     for (std::size_t c = 0; c < job.total_chunks; ++c) run_chunk(job, c);
-    if (observer_.jobs_submitted) observer_.jobs_submitted(1);
-    if (observer_.chunks_executed) observer_.chunks_executed(job.total_chunks);
     return;
   }
 
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     queue_.push_back(&job);
-    if (observer_.queue_depth)
-      observer_.queue_depth(static_cast<double>(queue_.size()));
   }
   cv_.notify_all();
-  if (observer_.jobs_submitted) observer_.jobs_submitted(1);
 
   // The caller works its own job alongside the pool.
-  std::size_t ran = 0;
   for (;;) {
     const std::size_t index =
         job.next_chunk.fetch_add(1, std::memory_order_relaxed);
     if (index >= job.total_chunks) break;
     run_chunk(job, index);
-    ++ran;
   }
-  if (observer_.chunks_executed && ran > 0) observer_.chunks_executed(ran);
 
   {
     // All chunks are claimed; drop the job if no worker retired it yet (the

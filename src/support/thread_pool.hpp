@@ -24,7 +24,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -37,17 +36,6 @@ class ThreadPool {
  public:
   using RangeFn = std::function<void(std::size_t, std::size_t)>;
 
-  /// Telemetry hooks.  The pool deliberately has no dependency on the
-  /// metrics registry (support must stay the bottom layer); the kernel
-  /// dispatch layer binds these callbacks to obs::MetricsRegistry.  Install
-  /// before the pool is used concurrently; calls are made outside the pool
-  /// lock at chunk granularity, so they must be cheap and thread-safe.
-  struct Observer {
-    std::function<void(double)> queue_depth;            // jobs waiting
-    std::function<void(std::uint64_t)> chunks_executed;
-    std::function<void(std::uint64_t)> jobs_submitted;
-  };
-
   explicit ThreadPool(unsigned workers);
   ~ThreadPool();
 
@@ -57,8 +45,6 @@ class ThreadPool {
   unsigned worker_count() const noexcept {
     return static_cast<unsigned>(workers_.size());
   }
-
-  void set_observer(Observer observer);
 
   /// Runs fn over [0, n) in chunks of `grain` indices (the last chunk may be
   /// shorter); returns once every chunk has finished.  fn must not throw.
@@ -91,7 +77,6 @@ class ThreadPool {
   std::condition_variable cv_;
   std::deque<Job*> queue_;  // guarded by mutex_
   bool stop_ = false;       // guarded by mutex_
-  Observer observer_;       // set once, before concurrent use
 };
 
 }  // namespace specomp::support

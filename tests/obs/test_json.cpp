@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace specomp::obs {
 namespace {
@@ -72,6 +74,54 @@ TEST(Json, ParseRejectsMalformedInput) {
   EXPECT_THROW(Json::parse("{\"a\":1} trailing"), std::runtime_error);
   EXPECT_THROW(Json::parse("tru"), std::runtime_error);
   EXPECT_THROW(Json::parse("'single'"), std::runtime_error);
+}
+
+TEST(Json, ParseBoundsNestingDepth) {
+  const int limit = Json::kMaxParseDepth;
+  const std::string at_limit =
+      std::string(static_cast<std::size_t>(limit), '[') +
+      std::string(static_cast<std::size_t>(limit), ']');
+  EXPECT_NO_THROW(Json::parse(at_limit));
+
+  // One level deeper fails at the offending bracket, and so does input deep
+  // enough to exhaust the stack of a recursive parser without the bound.
+  for (const std::size_t depth :
+       {static_cast<std::size_t>(limit) + 1, std::size_t{2'000'000}}) {
+    try {
+      Json::parse(std::string(depth, '['));
+      FAIL() << "expected throw at depth " << depth;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "offset " + std::to_string(limit) + ": nesting deeper"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  std::string objects;
+  for (int i = 0; i <= limit; ++i) objects += "{\"a\":";
+  EXPECT_THROW(
+      {
+        try {
+          Json::parse(objects);
+        } catch (const std::runtime_error& e) {
+          EXPECT_NE(std::string(e.what()).find("nesting deeper"),
+                    std::string::npos)
+              << e.what();
+          throw;
+        }
+      },
+      std::runtime_error);
+}
+
+TEST(Json, IntegerViewsRejectOutOfRangeNumbers) {
+  EXPECT_EQ(Json::parse("-3.9").as_int(), -3);
+  EXPECT_EQ(Json::parse("0.5").as_uint(), 0u);
+  EXPECT_EQ(Json::parse("18446744073709549568").as_uint(),
+            18446744073709549568ull);
+  EXPECT_THROW(Json::parse("-1").as_uint(), std::runtime_error);
+  EXPECT_THROW(Json::parse("1e300").as_uint(), std::runtime_error);
+  EXPECT_THROW(Json::parse("1e19").as_int(), std::runtime_error);
+  EXPECT_THROW(Json::parse("-1e300").as_int(), std::runtime_error);
 }
 
 TEST(Json, PrettyPrintIndents) {

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <string>
 
-#include "obs/metrics.hpp"
 #include "runtime/sim_comm.hpp"
 #include "runtime/thread_comm.hpp"
 
@@ -252,36 +251,6 @@ TEST(TreeCollectives, MessageCountsScaleLogarithmicallyAtP64) {
   });
   EXPECT_EQ(tree_ag.channel_stats.messages,
             static_cast<std::uint64_t>(2 * (kP - 1)));
-}
-
-TEST(TreeCollectives, ObsCountersAggregateCollectiveTraffic) {
-  obs::set_metrics_enabled(true);
-  const std::uint64_t msgs_before =
-      obs::metrics().counter_value("collectives.messages");
-  const std::uint64_t bytes_before =
-      obs::metrics().counter_value("collectives.bytes");
-
-  SimConfig config = sim_config(12);
-  config.collective = CollectiveAlgo::Tree;
-  const SimResult result = run_simulated(config, [&](Communicator& comm) {
-    allreduce_sum(comm, static_cast<double>(comm.rank()), 10);
-  });
-
-  const std::uint64_t msgs =
-      obs::metrics().counter_value("collectives.messages") - msgs_before;
-  const std::uint64_t bytes =
-      obs::metrics().counter_value("collectives.bytes") - bytes_before;
-  obs::set_metrics_enabled(false);
-
-  // Every collective-issued message went through the channel, and nothing
-  // else was on the wire — the aggregate counter and the channel statistics
-  // must agree exactly.  The counter tracks payload bytes; the channel adds
-  // its per-message framing overhead on top.
-  EXPECT_EQ(msgs, result.channel_stats.messages);
-  EXPECT_EQ(bytes + msgs * config.channel.per_message_overhead_bytes,
-            result.channel_stats.bytes);
-  EXPECT_GT(msgs, 0u);
-  EXPECT_GT(bytes, 0u);
 }
 
 TEST(TreeCollectives, DisseminationBarrierSynchronisesAndCostsMessages) {

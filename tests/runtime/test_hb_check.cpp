@@ -3,8 +3,8 @@
 // The HbChecker class is compiled in every configuration, so the direct
 // violation tests below always run.  The communicator hooks exist only under
 // -DSPECOMP_HB_CHECK=ON; the integration tests for clean end-to-end runs are
-// gated on SPECOMP_HB_CHECK_ENABLED, and the "detector off means zero
-// metrics" test runs in every configuration (that claim must hold in both).
+// gated on SPECOMP_HB_CHECK_ENABLED, and the "detector off checks nothing"
+// test runs in every configuration (that claim must hold in both).
 #include "runtime/hb_check.hpp"
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 
 #include "net/latency.hpp"
 #include "net/serialization.hpp"
-#include "obs/metrics.hpp"
 #include "runtime/sim_comm.hpp"
 #include "runtime/thread_comm.hpp"
 
@@ -190,33 +189,25 @@ TEST(HbIntegration, CleanThreadedRunPasses) {
 }
 
 TEST(HbIntegration, EventsCheckedSurfacedAsMetric) {
-  obs::set_metrics_enabled(true);
-  obs::metrics().reset();
   SimConfig config = jittered_sim_config(2);
   config.hb_check = true;
-  run_simulated(config, all_to_all_body);
+  const SimResult result = run_simulated(config, all_to_all_body);
   // 5 iterations x (1 send + 1 receive per rank) + 5 barriers = 25 events.
-  EXPECT_EQ(obs::metrics().counter_value("hb.events_checked"), 25u);
-  obs::metrics().reset();
-  obs::set_metrics_enabled(false);
+  EXPECT_EQ(result.hb_events_checked, 25u);
 }
 
 #endif  // SPECOMP_HB_CHECK_ENABLED
 
-// Holds in every configuration: with hb_check off the run must leave no
-// detector trace in the metrics registry (and in default builds the hooks
-// are not even compiled, so this is trivially the no-cost path).
+// Holds in every configuration: with hb_check off the run reports no
+// detector work (and in default builds the hooks are not even compiled, so
+// this is trivially the no-cost path).
 TEST(HbIntegration, DetectorOffLeavesNoMetricsTrace) {
-  obs::set_metrics_enabled(true);
-  obs::metrics().reset();
   SimConfig config = jittered_sim_config(2);
   config.hb_check = false;
   const SimResult result = run_simulated(config, all_to_all_body);
   EXPECT_GT(result.makespan_seconds, 0.0);
-  EXPECT_GT(obs::metrics().counter_value("des.events_executed"), 0u);
-  EXPECT_EQ(obs::metrics().counter_value("hb.events_checked"), 0u);
-  obs::metrics().reset();
-  obs::set_metrics_enabled(false);
+  EXPECT_GT(result.kernel_stats.events_executed, 0u);
+  EXPECT_EQ(result.hb_events_checked, 0u);
 }
 
 }  // namespace

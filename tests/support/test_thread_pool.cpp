@@ -89,19 +89,6 @@ TEST(ThreadPool, ConcurrentCallersAllComplete) {
   for (const auto sum : sums) EXPECT_EQ(sum, expected);
 }
 
-TEST(ThreadPool, ObserverSeesChunksAndJobs) {
-  ThreadPool pool(1);
-  std::atomic<std::uint64_t> chunks{0};
-  std::atomic<std::uint64_t> jobs{0};
-  ThreadPool::Observer observer;
-  observer.chunks_executed = [&](std::uint64_t n) { chunks.fetch_add(n); };
-  observer.jobs_submitted = [&](std::uint64_t n) { jobs.fetch_add(n); };
-  pool.set_observer(observer);
-  pool.parallel_for(64, 8, [](std::size_t, std::size_t) {});
-  EXPECT_EQ(chunks.load(), 8u);
-  EXPECT_EQ(jobs.load(), 1u);
-}
-
 TEST(ThreadPool, SharedIsASingleton) {
   ThreadPool& a = ThreadPool::shared();
   ThreadPool& b = ThreadPool::shared();
